@@ -5,9 +5,10 @@ Usage:
     python3 demos/decomposition_walkthrough.py
 
 Takes one planar 6-point ground set, decomposes its hull into
-triangles in regular position, verifies the three structural
-guarantees (exact cover, pairwise regular position, chained
-adjacency), then partitions a contained set A by first containing
+triangles in regular position, certifies them (facet gluing plus the
+volume equation, which together prove the exact cover and that every
+two triangles meet in a common face), checks the chained adjacency,
+then partitions a contained set A by first containing
 cell and checks that the per-cell sums A_i + kB_i stay disjoint.
 """
 
@@ -35,10 +36,11 @@ def main() -> None:
     print(f"adjacency chain: {[list(pair) for pair in D.adjacency]}")
     print()
 
-    cover = verify_cover(D)
-    print(f"cover: total triangle area {cover.total_simplex_volume} vs hull area {cover.hull_volume} -> {'ok' if cover.passed else 'FAIL'}")
     reg = verify_regular_position(D)
-    print(f"regular position ({reg.mode}): {'ok' if reg.passed else f'FAIL at {reg.offending_pair}'}")
+    print(f"facet gluing: {'ok' if reg.passed else f'FAIL at facet {reg.face} of simplices {reg.simplices}'}")
+    cover = verify_cover(D)
+    print(f"volume: total triangle area {cover.total_simplex_volume} vs hull area {cover.hull_volume}")
+    print(f"cover and pairwise common faces: {'ok' if cover.passed else 'FAIL'}")
     adj = verify_adjacency_chain(D)
     print(f"adjacency chain: {'ok' if adj.passed else 'FAIL'}")
     print()

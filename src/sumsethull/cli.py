@@ -7,7 +7,10 @@ as JSON {"dim": d, "points": [[x1,...,xd], ...]} with integer entries;
 all outputs are byte-deterministic given identical inputs and flags.
 
 Exit codes: 0 success or satisfied, 1 violation found, 2 usage or
-input error.  Errors name the violated hypothesis or flag.
+input error (including inputs too large to enumerate), 3 internal
+error (a broken invariant such as the LP pivot limit, reported as
+``internal error: <command>: ...``).  Errors name the violated
+hypothesis or flag.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .decomposition import (
     decompose,
     verify_adjacency_chain,
     verify_cover,
-    verify_regular_position,
 )
 from .explorer import GeneratorConfig, run_campaign
 from .geometry import PointSet, barycentric
@@ -38,6 +40,8 @@ def _load_json(path: str):
         raise ValueError(f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {path}: {exc.msg}")
+    except RecursionError:
+        raise ValueError(f"invalid JSON in {path}: nested too deeply")
 
 
 def load_point_set(path: str) -> PointSet:
@@ -59,6 +63,22 @@ def load_point_set(path: str) -> PointSet:
                 raise ValueError(f"{path}: points must be integers")
         rows.append(tuple(p))
     return PointSet(dim, tuple(rows))
+
+
+def load_subsum_instance(path: str) -> SubsumInstance:
+    data = _load_json(path)
+    if not isinstance(data, dict) or "sets" not in data:
+        raise ValueError(f"{path}: expected an object with 'sets'")
+    sets = data["sets"]
+    if not isinstance(sets, list):
+        raise ValueError(f"{path}: 'sets' must be a list")
+    for s in sets:
+        if not isinstance(s, list) or not s:
+            raise ValueError(f"{path}: every set must be a nonempty list")
+        for v in s:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{path}: set elements must be integers")
+    return SubsumInstance(tuple(tuple(s) for s in sets))
 
 
 def write_point_set(path: str, P: PointSet) -> None:
@@ -97,25 +117,26 @@ def cmd_decompose(args) -> int:
     print(f"simplices={len(D.simplices)}")
     if not args.check:
         return 0
+    # verify_cover runs verify_regular_position (facet gluing) and adds
+    # the volume equation; only the two together prove either the cover
+    # or that the simplices pairwise meet in common faces.
     cover = verify_cover(D)
-    regular = verify_regular_position(D)
     chain = verify_adjacency_chain(D)
     prop_b = _property_b_holds(D)
-    print(f"cover={'pass' if cover.passed else 'fail'}")
-    print(f"regular_position={'pass' if regular.passed else 'fail'}")
-    print(f"adjacency_chain={'pass' if chain.passed else 'fail'}")
-    print(f"vertex_membership={'pass' if prop_b else 'fail'}")
-    ok = cover.passed and regular.passed and chain.passed and prop_b
-    return 0 if ok else 1
+    verdicts = {
+        "cover": cover.passed,
+        "regular_position": cover.passed,
+        "adjacency_chain": chain.passed,
+        "vertex_membership": prop_b,
+    }
+    for name, ok in verdicts.items():
+        print(f"{name}={'pass' if ok else 'fail'}")
+    return 0 if all(verdicts.values()) else 1
 
 
 def cmd_verify(args) -> int:
     if args.theorem == "subsum":
-        data = _load_json(args.a)
-        if not isinstance(data, dict) or "sets" not in data:
-            raise ValueError(f"{args.a}: expected an object with 'sets'")
-        inst = SubsumInstance(tuple(tuple(s) for s in data["sets"]))
-        rep = subsum_report(inst)
+        rep = subsum_report(load_subsum_instance(args.a))
         if args.json:
             print(json.dumps(rep.to_dict(), sort_keys=True, separators=(",", ":")))
         else:
@@ -244,15 +265,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, HypothesisError) as exc:
+    except (ValueError, HypothesisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"internal error: {args.command}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,33 +12,29 @@ dimension, it is coned over every simplex of the lower-dimensional
 decomposition, built inside its own affine hull.
 
 The ``verify_*`` operations certify those properties for any
-decomposition, not just ones this module built: exact volume additivity
-against the independent facet-enumeration oracle, pairwise regular
-position via brute-force vertex enumeration of intersection polytopes,
-and connectivity of the shared-facet graph.
+decomposition, not just ones this module built.  ``verify_cover`` is
+the one triangulation certificate, exact in every dimension: facet
+gluing (``verify_regular_position``) plus the equation of the simplex
+volumes with the hull volume from the independent facet-enumeration
+oracle; together they prove (a) and that every two simplices meet in a
+common face.  ``verify_adjacency_chain`` checks (c) through the
+shared-facet graph.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import factorial
 
 from .geometry import (
     PointSet,
     affine_rank,
     conv_contains,
     intrinsic_integer_coords,
-    solve_unique,
 )
-from .hull import cross_normal, hull_volume, int_det, simplex_volume
-
-# Exact pairwise intersection enumeration is combinatorial in the
-# dimension; above this the regular-position check falls back to a
-# randomized rational-sampling probe (documented on the report).
-_EXACT_INTERSECTION_DIM = 3
+from .hull import cross_normal, hull_volume, int_det
 
 
 @dataclass(frozen=True)
@@ -150,6 +146,25 @@ def _sign(x) -> int:
     return 0
 
 
+def _facet_table(simplices: list[tuple[int, ...]]) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """Each facet (sorted vertex indices) -> its (owning simplex, opposite vertex) pairs.
+
+    Facets appear in order of first occurrence: by simplex, then by the
+    position of the omitted vertex.
+    """
+    table: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for owner, s in enumerate(simplices):
+        for j in range(len(s)):
+            table.setdefault(s[:j] + s[j + 1:], []).append((owner, s[j]))
+    return table
+
+
+def _hyperplane(face, coords) -> tuple[tuple[int, ...], int]:
+    """Integer normal and offset of the hyperplane spanned by a facet."""
+    normal = cross_normal([coords[i] for i in face])
+    return normal, _dot(normal, coords[face[0]])
+
+
 def _boundary_faces(simplices: list[tuple[int, ...]], coords) -> list[tuple]:
     """Facets incident to exactly one simplex, with oriented hyperplanes.
 
@@ -157,21 +172,13 @@ def _boundary_faces(simplices: list[tuple[int, ...]], coords) -> list[tuple]:
     order; inner_sign is the side of the owning simplex's remaining
     vertex, never zero.
     """
-    counts: dict[tuple[int, ...], int] = {}
-    for s in simplices:
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1:]
-            counts[face] = counts.get(face, 0) + 1
     out = []
-    for owner, s in enumerate(simplices):
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1:]
-            if counts[face] != 1:
-                continue
-            normal = cross_normal([coords[i] for i in face])
-            offset = _dot(normal, coords[face[0]])
-            inner = _sign(_dot(normal, coords[s[j]]) - offset)
-            out.append((face, owner, normal, offset, inner))
+    for face, owners in _facet_table(simplices).items():
+        if len(owners) != 1:
+            continue
+        [(owner, apex)] = owners
+        normal, offset = _hyperplane(face, coords)
+        out.append((face, owner, normal, offset, _sign(_dot(normal, coords[apex]) - offset)))
     return out
 
 
@@ -250,154 +257,57 @@ def visible_boundary_faces(D: Decomposition, b) -> list[Face]:
     return [Face(face, owner) for face, owner in _visible_cone_faces(simplices, coords, apex)]
 
 
-def _simplex_facet_system(simplex, coords):
-    """Inequalities <normal, x> <= offset describing one simplex."""
-    rows = []
-    verts = simplex
-    for j in range(len(verts)):
-        face = verts[:j] + verts[j + 1:]
-        normal = cross_normal([coords[i] for i in face])
-        offset = _dot(normal, coords[face[0]])
-        if _dot(normal, coords[verts[j]]) - offset > 0:
-            normal = tuple(-v for v in normal)
-            offset = -offset
-        rows.append((normal, offset))
-    return rows
-
-
-def _intersection_vertices(sys1, sys2, rank):
-    """Vertices of the polytope cut out by two simplex facet systems.
-
-    Brute force: every rank-subset of the combined hyperplanes with a
-    nonsingular coefficient matrix is solved by Cramer's rule in integer
-    arithmetic and kept when it satisfies all constraints.  Returns
-    deduplicated (numerators, denominator>0) pairs, sorted.
-    """
-    constraints = sys1 + sys2
-    found = set()
-    for subset in combinations(range(len(constraints)), rank):
-        mat = [list(constraints[i][0]) for i in subset]
-        den = int_det(mat)
-        if den == 0:
-            continue
-        nums = []
-        for col in range(rank):
-            repl = [
-                [constraints[i][1] if c == col else constraints[i][0][c] for c in range(rank)]
-                for i in subset
-            ]
-            nums.append(int_det(repl))
-        if den < 0:
-            den = -den
-            nums = [-v for v in nums]
-        if all(_dot(n, nums) <= c * den for n, c in constraints):
-            g = den
-            for v in nums:
-                g = gcd(g, abs(v))
-            found.add((tuple(v // g for v in nums), den // g))
-    return sorted(found)
-
-
-def _in_hull_of_independent(points, q) -> bool:
-    """Membership of a rational point in the hull of affinely independent points."""
-    rows = [[p[c] for p in points] for c in range(len(q))]
-    rows.append([1] * len(points))
-    sol = solve_unique(rows, list(q) + [1])
-    return sol is not None and all(c >= 0 for c in sol)
-
-
 @dataclass(frozen=True)
 class RegularPositionReport:
+    """Outcome of the facet-gluing check.
+
+    On failure ``face`` holds the ground indices of the offending facet
+    and ``simplices`` the simplices having it; ``beyond`` is a ground
+    point strictly outside an unshared facet, when that is the fault.
+    """
+
     passed: bool
-    offending_pair: tuple[int, int] | None = None
-    witness: tuple | None = None
-    mode: str = "exact"
+    face: tuple[int, ...] | None = None
+    simplices: tuple[int, ...] = ()
+    beyond: int | None = None
 
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "offending_pair": list(self.offending_pair) if self.offending_pair else None,
-            "witness": [str(c) for c in self.witness] if self.witness else None,
-            "mode": self.mode,
+            "face": list(self.face) if self.face is not None else None,
+            "simplices": list(self.simplices),
+            "beyond": self.beyond,
         }
 
 
 def verify_regular_position(D: Decomposition) -> RegularPositionReport:
-    """Check that every pair of simplices meets in a common face.
+    """Facet gluing, the combinatorial half of the ``verify_cover`` certificate.
 
-    For each pair, every vertex of the intersection polytope (exact
-    enumeration over the combined facet systems) must lie in the hull of
-    the shared ground vertices.  Above dimension 3 the enumeration is
-    replaced by a randomized rational-sampling probe, reported as
-    mode="sampled"; that probe can miss violations.
+    Every facet of every simplex must either span a supporting
+    hyperplane of conv(ground), with no ground point strictly beyond
+    it, or be a facet of exactly one other simplex whose remaining
+    vertex lies strictly on the other side.  Gluing alone does not prove
+    regular position (two overlaid triangulations pass it); together
+    with the volume equation of ``verify_cover`` it proves that every
+    pair of simplices meets in a common face.
     """
-    coords_list, rank, _ = intrinsic_integer_coords(D.ground.points)
+    coords_list, _, _ = intrinsic_integer_coords(D.ground.points)
     coords = dict(enumerate(coords_list))
     simplices = [s.vertex_indices for s in D.simplices]
-    if rank > _EXACT_INTERSECTION_DIM:
-        return _sampled_regular_position(D, coords, rank)
-
-    systems = [_simplex_facet_system(s, coords) for s in simplices]
-    boxes = [_bounding_box([coords[i] for i in s]) for s in simplices]
-    for i, j in combinations(range(len(simplices)), 2):
-        if _boxes_disjoint(boxes[i], boxes[j]):
-            continue
-        verts = _intersection_vertices(systems[i], systems[j], rank)
-        shared = sorted(set(simplices[i]) & set(simplices[j]))
-        if not shared:
-            if verts:
-                nums, den = verts[0]
-                witness = tuple(Fraction(v, den) for v in nums)
-                return RegularPositionReport(False, (i, j), witness)
-            continue
-        shared_pts = [coords[s] for s in shared]
-        for nums, den in verts:
-            q = tuple(Fraction(v, den) for v in nums)
-            if not _in_hull_of_independent(shared_pts, q):
-                return RegularPositionReport(False, (i, j), q)
+    for face, owners in _facet_table(simplices).items():
+        normal, offset = _hyperplane(face, coords)
+        sides = [_sign(_dot(normal, coords[apex]) - offset) for _, apex in owners]
+        holders = tuple(owner for owner, _ in owners)
+        if len(owners) == 1:
+            beyond = next(
+                (i for i, p in enumerate(coords_list) if _sign(_dot(normal, p) - offset) == -sides[0]),
+                None,
+            )
+            if beyond is not None:
+                return RegularPositionReport(False, face, holders, beyond)
+        elif len(owners) > 2 or sides[0] == sides[1]:
+            return RegularPositionReport(False, face, holders)
     return RegularPositionReport(True)
-
-
-def _sampled_regular_position(D, coords, rank) -> RegularPositionReport:
-    rng = random.Random("regular-position-probe")
-    simplices = [s.vertex_indices for s in D.simplices]
-    systems = [_simplex_facet_system(s, coords) for s in simplices]
-    for i, j in combinations(range(len(simplices)), 2):
-        shared = sorted(set(simplices[i]) & set(simplices[j]))
-        shared_pts = [coords[s] for s in shared]
-        for src, other in ((i, j), (j, i)):
-            verts = [coords[v] for v in simplices[src]]
-            for _ in range(64):
-                weights = [Fraction(rng.randrange(0, 17), 1) for _ in verts]
-                total = sum(weights)
-                if total == 0:
-                    continue
-                q = tuple(
-                    sum(w * v[c] for w, v in zip(weights, verts)) / total
-                    for c in range(rank)
-                )
-                inside = all(
-                    _dot(n, q) <= c for n, c in systems[other]
-                )
-                if not inside:
-                    continue
-                if not shared:
-                    return RegularPositionReport(False, (i, j), q, mode="sampled")
-                if not _in_hull_of_independent(shared_pts, q):
-                    return RegularPositionReport(False, (i, j), q, mode="sampled")
-    return RegularPositionReport(True, mode="sampled")
-
-
-def _bounding_box(points):
-    return (
-        tuple(min(p[c] for p in points) for c in range(len(points[0]))),
-        tuple(max(p[c] for p in points) for c in range(len(points[0]))),
-    )
-
-
-def _boxes_disjoint(box1, box2) -> bool:
-    (lo1, hi1), (lo2, hi2) = box1, box2
-    return any(h1 < l2 or h2 < l1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
 
 
 @dataclass(frozen=True)
@@ -405,48 +315,61 @@ class CoverReport:
     passed: bool
     total_simplex_volume: Fraction
     hull_volume: Fraction
-    overlapping_pair: tuple[int, int] | None = None
+    gluing: RegularPositionReport
 
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
             "total_simplex_volume": str(self.total_simplex_volume),
             "hull_volume": str(self.hull_volume),
-            "overlapping_pair": list(self.overlapping_pair) if self.overlapping_pair else None,
+            "gluing": self.gluing.to_dict(),
         }
 
 
 def verify_cover(D: Decomposition) -> CoverReport:
-    """Certify that the simplices tile conv(ground) exactly.
+    """Exact certificate that the simplices triangulate conv(ground).
 
-    Volumes are computed in a common integer coordinate system of the
-    hull's affine span: the sum of simplex volumes must equal the hull
-    volume from the independent facet-enumeration oracle, and every
-    pairwise intersection must have zero volume (its vertex set must not
-    span the full dimension).
+    Two conditions, decided in integer coordinates of the hull's affine
+    span, where every simplex is full-dimensional (De Loera, Rambau &
+    Santos, *Triangulations*, Springer 2010, ch. 4):
+
+    1. gluing (``verify_regular_position``): every facet either spans a
+       supporting hyperplane of H = conv(ground) or is a facet of exactly
+       one other simplex lying on its other side;
+    2. volume: the simplex volumes sum to vol H, taken from the
+       independent facet-fan oracle ``hull_volume``.
+
+    ``passed`` holds exactly when the simplices cover H and every two
+    of them meet in a common face (possibly empty).
+
+    Proof (degree argument).  Let c(x) count the simplices containing
+    x.  Along a path in the interior of H that crosses facets only
+    transversally, in their relative interiors (almost every path), c
+    changes only at a facet hyperplane, by the number of simplices
+    entered minus the number left.  A supporting hyperplane of H misses
+    the interior of H, so by 1 every facet crossed there is shared by
+    exactly two simplices on opposite sides, one left as the other is
+    entered: c is a constant c0 almost everywhere on H.  Then the volume
+    sum is c0 * vol H, and 2 gives c0 = 1.  So the simplices have
+    pairwise disjoint interiors and, their union being closed, cover H.
+    They meet face to face: if x lies in simplices S and T, let F be the
+    smallest face of S containing x.  Crossing a facet of S through x
+    enters, by 1, the simplex glued there, in which F is again the
+    smallest face containing x; around x these crossings reach every
+    simplex containing x (the same path argument, interiors being
+    disjoint), T among them, so F is a face of T and x lies in the hull
+    of the common vertices.  Conversely a triangulation satisfies both
+    conditions, so the certificate is exact in every dimension.
     """
     coords_list, rank, _ = intrinsic_integer_coords(D.ground.points)
-    coords = dict(enumerate(coords_list))
-    simplices = [s.vertex_indices for s in D.simplices]
-    total = Fraction(0)
-    for s in simplices:
-        total += simplex_volume([coords[i] for i in s])
+    dets = 0
+    for s in D.simplices:
+        base, *rest = (coords_list[i] for i in s.vertex_indices)
+        dets += abs(int_det([[b - a for a, b in zip(base, p)] for p in rest]))
+    total = Fraction(dets, factorial(rank))
     hull_vol = hull_volume(coords_list)
-    overlapping = None
-    systems = [_simplex_facet_system(s, coords) for s in simplices]
-    boxes = [_bounding_box([coords[i] for i in s]) for s in simplices]
-    for i, j in combinations(range(len(simplices)), 2):
-        if _boxes_disjoint(boxes[i], boxes[j]):
-            continue
-        verts = _intersection_vertices(systems[i], systems[j], rank)
-        if len(verts) <= rank:
-            continue
-        pts = [tuple(Fraction(v, den) for v in nums) for nums, den in verts]
-        if affine_rank(pts) == rank:
-            overlapping = (i, j)
-            break
-    passed = total == hull_vol and overlapping is None
-    return CoverReport(passed, total, hull_vol, overlapping)
+    gluing = verify_regular_position(D)
+    return CoverReport(gluing.passed and total == hull_vol, total, hull_vol, gluing)
 
 
 @dataclass(frozen=True)

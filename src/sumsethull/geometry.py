@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -68,8 +69,14 @@ class PointSet:
     def __iter__(self):
         return iter(self.points)
 
+    @cached_property
+    def _members(self) -> frozenset:
+        # Built on the first membership test; not a field, so equality,
+        # hashing and serialization still see only dim and points.
+        return frozenset(self.points)
+
     def __contains__(self, p) -> bool:
-        return tuple(p) in set(self.points)
+        return tuple(p) in self._members
 
     def translate(self, t: Sequence[int]) -> "PointSet":
         if len(t) != self.dim:

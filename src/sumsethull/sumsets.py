@@ -11,9 +11,32 @@ work from |B|^k to C(|B|+k-1, k).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from itertools import combinations_with_replacement
+from math import comb
 
 from .geometry import PointSet
+
+# Most coordinate-tuple additions one kB or A + kB enumeration may make,
+# the counterpart of ``hull._BOX_CELL_LIMIT``.  Inputs over it are
+# refused before any enumeration instead of running for hours.
+_SUM_WORK_LIMIT = 20_000_000
+
+
+def _check_work(B: PointSet, k: int, a_size: int, what: str) -> None:
+    """Refuse a sum whose work (k + |A|) * C(|B|+k-1, k) passes the limit.
+
+    Each of the C(|B|+k-1, k) multisets of B is a k-term sum, and A + kB
+    adds |A| sums per point of kB (``a_size`` is 0 for kB alone).
+    """
+    if min(k, len(B) - 1) > 1000:
+        # C(|B|+k-1, k) >= 2^min(k, |B|-1): far over, and slow to count exactly
+        raise ValueError(f"{what} with |B| = {len(B)} is over the limit of {_SUM_WORK_LIMIT:,} sums")
+    work = (k + a_size) * multiset_sum_count(B, k)
+    if work > _SUM_WORK_LIMIT:
+        raise ValueError(
+            f"{what} needs about {Decimal(work):.2e} sums, over the limit of {_SUM_WORK_LIMIT:,}"
+        )
 
 
 @dataclass(frozen=True)
@@ -53,6 +76,7 @@ def k_fold(B: PointSet, k: int) -> SumsetResult:
         raise ValueError("k must be >= 1")
     if len(B) == 0:
         raise ValueError("k-fold sum of an empty set")
+    _check_work(B, k, 0, f"{k}B")
     sums = set()
     for combo in combinations_with_replacement(B.points, k):
         sums.add(tuple(sum(cs) for cs in zip(*combo)))
@@ -67,14 +91,15 @@ def multiset_sum_count(B: PointSet, k: int) -> int:
     representation (affinely independent B); the gap between the two
     counts how many collisions repeated addition produced.
     """
-    from math import comb
-
     return comb(len(B) + k - 1, k)
 
 
 def a_plus_kb(A: PointSet, B: PointSet, k: int) -> SumsetResult:
     """The sumset A + kB, with provenance recording all three operands."""
     _require_same_dim(A, B)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    _check_work(B, k, len(A), f"A + {k}B")
     kb = k_fold(B, k)
     res = sumset(A, kb.points)
     return SumsetResult(res.points, {"op": "a_plus_kb", "a": A, "b": B, "k": k})

@@ -1,10 +1,17 @@
 """Command-line interface: file formats, exit codes, determinism."""
 
 import json
+import signal
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sumsethull import cli
 from sumsethull.cli import main
+from sumsethull.decomposition import Decomposition
+from sumsethull.geometry import PointSet
 
 
 def write_points(path, dim, points):
@@ -74,6 +81,13 @@ class TestPointSetParsing:
         code = main(["decompose", "--b", str(path), "--out", str(tmp_path / "d.json")])
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_deeply_nested_json_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["decompose", "--b", str(path), "--out", str(tmp_path / "d.json")])
+        assert code == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
 
 class TestDecomposeCommand:
@@ -145,6 +159,19 @@ class TestVerifyCommand:
         code = main(["verify", "--theorem", "subsum", "--a", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("sets, message", [
+        ([1, 2], "nonempty list"),
+        ([[1.5], [2]], "integers"),
+        ([[True], [1]], "integers"),
+        ("0 1 2", "must be a list"),
+    ])
+    def test_subsum_malformed_sets_exit_2(self, tmp_path, capsys, sets, message):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"sets": sets}))
+        code = main(["verify", "--theorem", "subsum", "--a", str(path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestExploreCommand:
     def test_k_fold_campaign(self, tmp_path, capsys):
@@ -186,3 +213,98 @@ class TestExploreCommand:
         with pytest.raises(SystemExit) as exc:
             main(["explore", "--question", "1", "--theorem", "k_fold"])
         assert exc.value.code == 2
+
+
+class _Timeout(Exception):
+    """Not an OSError, so main() cannot mistake it for an input error."""
+
+
+def _raise_timeout(signum, frame):
+    raise _Timeout
+
+
+class TestOutsizedSums:
+    def test_k_fold_refused_within_a_second(self, tmp_path, capsys):
+        # C(79, 50) ~ 3.3e21 multisets: enumerating them would never end
+        b = write_points(tmp_path / "b.json", 1, [[i] for i in range(30)])
+        previous = signal.signal(signal.SIGALRM, _raise_timeout)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code = main(["sumset", "--a", b, "--b", b, "-k", "50", "--out", str(tmp_path / "o.json")])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "A + 50B needs about 2.66e+23 sums" in err and "over the limit" in err
+        assert not (tmp_path / "o.json").exists()
+
+
+class TestInternalErrors:
+    def test_runtime_error_is_exit_3_not_a_usage_error(self, tmp_path, triangle, monkeypatch, capsys):
+        def broken(B):
+            raise RuntimeError("LP pivot limit exceeded")
+
+        monkeypatch.setattr(cli, "decompose", broken)
+        code = main(["decompose", "--b", triangle, "--out", str(tmp_path / "d.json")])
+        assert code == 3
+        assert capsys.readouterr().err.strip() == "internal error: decompose: LP pivot limit exceeded"
+
+
+class TestCheckLines:
+    def test_gluing_alone_never_reads_as_regular_position(self, tmp_path, monkeypatch, capsys):
+        # two overlaid triangulations of a square with its edge midpoints:
+        # every facet is glued, but the simplices cover the square twice
+        ground = PointSet.from_points([(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (2, 1), (1, 2), (0, 1)])
+        overlaid = Decomposition(ground, (
+            (0, 1, 2), (0, 2, 3),
+            (4, 5, 6), (4, 6, 7), (0, 4, 7), (1, 4, 5), (2, 5, 6), (3, 6, 7),
+        ))
+        monkeypatch.setattr(cli, "decompose", lambda B: overlaid)
+        path = write_points(tmp_path / "b.json", 2, [list(p) for p in ground.points])
+        code = main(["decompose", "--b", path, "--out", str(tmp_path / "d.json"), "--check"])
+        lines = dict(line.split("=") for line in capsys.readouterr().out.split())
+        assert code == 1
+        assert lines["cover"] == "fail" and lines["regular_position"] == "fail"
+
+
+# ------------------------------------------------------------ loader fuzzing
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(-10**40, 10**40),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+)
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+BIG_INTS = st.integers(-10**40, 10**40)
+# mostly integer rows of one to three entries, so valid inputs occur too
+ROWS = st.lists(
+    st.one_of(st.lists(BIG_INTS, min_size=1, max_size=3), st.lists(JSON_SCALARS, max_size=3), JSON_VALUES),
+    max_size=4,
+)
+
+
+def _run_on(doc, argv_for):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(doc))
+        return main(argv_for(str(path), str(Path(tmp) / "out.json")))
+
+
+class TestLoaderFuzz:
+    @given(st.one_of(
+        st.tuples(st.one_of(st.integers(-1, 4), JSON_SCALARS), ROWS),
+        st.integers(1, 3).flatmap(lambda d: st.tuples(
+            st.just(d), st.lists(st.lists(BIG_INTS, min_size=d, max_size=d), min_size=1, max_size=4))),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_point_set_loader_never_crashes(self, doc):
+        dim, points = doc
+        code = _run_on({"dim": dim, "points": points},
+                       lambda a, out: ["sumset", "--a", a, "--b", a, "--out", out])
+        assert code in (0, 2)
+
+    @given(st.one_of(JSON_VALUES, ROWS, st.lists(st.lists(BIG_INTS, min_size=1, max_size=3), min_size=2, max_size=4)))
+    @settings(max_examples=150, deadline=None)
+    def test_subsum_loader_never_crashes(self, sets):
+        code = _run_on({"sets": sets}, lambda a, out: ["verify", "--theorem", "subsum", "--a", a])
+        assert code in (0, 1, 2)

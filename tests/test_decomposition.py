@@ -1,5 +1,6 @@
 """Simplicial decomposition: construction and the three verifiers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 
 from sumsethull.decomposition import (
     Decomposition,
+    RegularPositionReport,
     Simplex,
     decompose,
     verify_adjacency_chain,
@@ -14,7 +16,7 @@ from sumsethull.decomposition import (
     verify_regular_position,
     visible_boundary_faces,
 )
-from sumsethull.geometry import PointSet, barycentric
+from sumsethull.geometry import PointSet, affine_rank, barycentric
 
 from conftest import proper_point_sets
 
@@ -152,33 +154,44 @@ class TestVerifyCover:
         assert rep.total_simplex_volume == Fraction(1, 2)
         assert rep.hull_volume == 1
 
+    def test_missing_triangle_names_the_open_facet(self):
+        rep = verify_cover(Decomposition(SQUARE, (Simplex((0, 1, 2)),)))
+        assert rep.gluing == RegularPositionReport(False, (1, 2), (0,), 3)
+
     def test_fan_has_four_unit_triangles(self):
         rep = verify_cover(decompose(FAN_GROUND))
         assert rep.passed and rep.total_simplex_volume == 4
 
-    def test_overlapping_simplices_reported(self):
-        ground = PointSet.from_points([(0, 0), (4, 0), (0, 4), (2, 0), (6, 0), (2, 4)])
-        D = Decomposition(ground, (Simplex((0, 1, 2)), Simplex((3, 4, 5))))
+    def test_segment_cover(self):
+        D = decompose(PointSet.from_points([(0, 0), (2, 2), (1, 1), (3, 3)]))
         rep = verify_cover(D)
-        assert not rep.passed and rep.overlapping_pair == (0, 1)
+        assert rep.passed and rep.total_simplex_volume == rep.hull_volume == 3
+
+    def test_report_serializes(self):
+        data = verify_cover(Decomposition(SQUARE, (Simplex((0, 1, 2)),))).to_dict()
+        assert data == {
+            "passed": False,
+            "total_simplex_volume": "1/2",
+            "hull_volume": "1",
+            "gluing": {"passed": False, "face": [1, 2], "simplices": [0], "beyond": 3},
+        }
 
 
 class TestVerifyRegularPosition:
     def test_shared_edge_passes(self):
         assert verify_regular_position(decompose(SQUARE)).passed
 
-    def test_overlapping_interiors_fail(self):
-        ground = PointSet.from_points([(0, 0), (4, 0), (0, 4), (2, 0), (6, 0), (2, 4)])
-        D = Decomposition(ground, (Simplex((0, 1, 2)), Simplex((3, 4, 5))))
-        rep = verify_regular_position(D)
-        assert not rep.passed
-        assert rep.offending_pair == (0, 1)
-        assert rep.witness is not None
+    def test_two_simplices_on_one_side_of_a_facet(self):
+        ground = PointSet.from_points([(0, 0), (4, 0), (0, 4), (1, 1)])
+        D = Decomposition(ground, (Simplex((0, 1, 2)), Simplex((0, 1, 3))))
+        assert verify_regular_position(D) == RegularPositionReport(False, (0, 1), (0, 1))
 
-    def test_disjoint_simplices_pass(self):
-        ground = PointSet.from_points([(0, 0), (1, 0), (0, 1), (5, 5), (6, 5), (5, 6)])
-        D = Decomposition(ground, (Simplex((0, 1, 2)), Simplex((3, 4, 5))))
-        assert verify_regular_position(D).passed
+    def test_facet_of_three_simplices(self):
+        # 1-2 is an edge of one triangle above it and two below it
+        ground = PointSet.from_points([(1, 2), (0, 0), (2, 0), (1, -1), (1, -2)])
+        D = Decomposition(ground, (Simplex((0, 1, 2)), Simplex((1, 2, 3)), Simplex((1, 2, 4))))
+        rep = verify_regular_position(D)
+        assert not rep.passed and rep.face == (1, 2) and rep.simplices == (0, 1, 2)
 
     def test_partial_shared_face_violation_detected(self):
         # second triangle's edge crosses the first one's interior
@@ -251,3 +264,79 @@ class TestDecomposeProperties:
     @settings(max_examples=20, deadline=None)
     def test_deterministic_json(self, B):
         assert decompose(B).to_json_dict() == decompose(B).to_json_dict()
+
+
+def _ground_4d(seed, n):
+    rng = random.Random(seed)
+    while True:
+        pts = sorted({tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(n)})
+        if len(pts) == n and affine_rank(pts) == 4:
+            return PointSet(4, tuple(pts))
+
+
+class TestFourDimensional:
+    """The certificate is exact above dimension 3 too: no sampled mode."""
+
+    GROUNDS = [_ground_4d(seed, n) for seed, n in ((11, 6), (2, 7), (3, 8), (4, 9))]
+
+    @pytest.mark.parametrize("B", GROUNDS, ids=lambda B: f"{len(B)}pts")
+    def test_decompose_passes(self, B):
+        D = decompose(B)
+        rep = verify_cover(D)
+        assert rep.passed and rep.gluing.passed
+        assert verify_regular_position(D).passed
+        assert verify_adjacency_chain(D).passed
+
+    @pytest.mark.parametrize("B", GROUNDS, ids=lambda B: f"{len(B)}pts")
+    def test_dropped_simplex_fails(self, B):
+        D = decompose(B)
+        assert len(D.simplices) > 1
+        for i in range(len(D.simplices)):
+            cut = Decomposition(B, D.simplices[:i] + D.simplices[i + 1:])
+            rep = verify_cover(cut)
+            assert not rep.passed and not rep.gluing.passed
+            assert rep.total_simplex_volume < rep.hull_volume
+
+    @pytest.mark.parametrize("B", GROUNDS, ids=lambda B: f"{len(B)}pts")
+    def test_swapped_vertex_fails(self, B):
+        # a full-dimensional simplex is fixed by its region, so replacing
+        # any vertex of a triangulation's simplex breaks the triangulation
+        D = decompose(B)
+        s = D.simplices[-1].vertex_indices
+        tried = 0
+        for w in range(len(B)):
+            if w in s:
+                continue
+            for j in range(len(s)):
+                swapped = Simplex(s[:j] + s[j + 1:] + (w,))
+                try:
+                    bad = Decomposition(B, D.simplices[:-1] + (swapped,))
+                except ValueError:  # degenerate or already listed
+                    continue
+                assert not verify_cover(bad).passed
+                tried += 1
+        assert tried
+
+    @pytest.mark.parametrize("B", GROUNDS, ids=lambda B: f"{len(B)}pts")
+    def test_overlaid_triangulations_fail_on_volume(self, B):
+        D = decompose(B)
+        mirror = decompose(PointSet(4, tuple(tuple(-c for c in p) for p in B.points)))
+        extra = tuple(s for s in mirror.simplices if s not in D.simplices)
+        assert extra
+        rep = verify_cover(Decomposition(B, D.simplices + extra))
+        assert not rep.passed and rep.total_simplex_volume > rep.hull_volume
+
+    def test_non_face_to_face_split_fails(self):
+        # Two 4-simplices glued along the facet 0-3; the second is split at
+        # the midpoint 6 of its edge 0-1, so the facet is no longer shared.
+        e = [tuple(2 * int(i == j) for j in range(4)) for i in range(4)]
+        apex_up, apex_down = (2, 2, 2, 2), (-2, -2, -2, -2)
+        mid = tuple((a + b) // 2 for a, b in zip(e[0], e[1]))
+        ground = PointSet(4, tuple(e) + (apex_up, apex_down, mid))
+        whole = Decomposition(ground, ((0, 1, 2, 3, 4), (0, 1, 2, 3, 5)))
+        assert verify_cover(whole).passed
+        split = Decomposition(ground, ((0, 1, 2, 3, 4), (0, 2, 3, 5, 6), (1, 2, 3, 5, 6)))
+        rep = verify_cover(split)
+        assert rep.total_simplex_volume == rep.hull_volume
+        assert not rep.passed
+        assert rep.gluing.face == (0, 1, 2, 3)

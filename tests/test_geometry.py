@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +39,14 @@ class TestPointSet:
     def test_translate(self):
         P = PointSet(2, ((0, 0), (1, 2)))
         assert P.translate((3, -1)).points == ((3, -1), (4, 1))
+
+    def test_membership_cache_leaves_identity_unchanged(self):
+        P, Q = PointSet(2, ((0, 0), (1, 2))), PointSet(2, ((0, 0), (1, 2)))
+        before = (hash(P), repr(P), dataclasses.asdict(P))
+        assert [1, 2] in P and (0, 0) in P and (2, 1) not in P
+        assert "_members" in vars(P)  # built once, on the first test
+        assert (hash(P), repr(P), dataclasses.asdict(P)) == before
+        assert P == Q and hash(P) == hash(Q)
 
 
 class TestAffineDimension:

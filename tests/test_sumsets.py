@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sumsethull.bounds import binom
 from sumsethull.geometry import PointSet
-from sumsethull.sumsets import a_plus_kb, k_fold, multiset_sum_count, sumset
+from sumsethull.sumsets import _SUM_WORK_LIMIT, _check_work, a_plus_kb, k_fold, multiset_sum_count, sumset
 
 from conftest import contained_pairs, lattice_point, point_sets, simplices
 
@@ -112,6 +112,39 @@ class TestAPlusKB:
     def test_matches_naive_composition(self, pair, k):
         A, B = pair
         assert a_plus_kb(A, B, k).points == sumset(A, k_fold(B, k).points).points
+
+
+class TestWorkLimit:
+    PAIR = PointSet.from_points([(0,), (1,)])
+
+    def test_outsized_k_fold_refused_with_its_estimate(self):
+        # 50 * C(79, 50) ~ 1.66e23 additions
+        line = PointSet.from_points([(i,) for i in range(30)])
+        with pytest.raises(ValueError, match=r"50B needs about 1\.66e\+23 sums"):
+            k_fold(line, 50)
+
+    def test_limit_is_exact_and_counts_a(self):
+        # (k + |A|) * C(|B|+k-1, k) = (3999 + 1001) * 4000 is exactly the limit
+        assert _SUM_WORK_LIMIT == 5000 * 4000
+        _check_work(self.PAIR, 3999, 1001, "A + kB")
+        with pytest.raises(ValueError, match="over the limit"):
+            _check_work(self.PAIR, 3999, 1002, "A + kB")
+
+    def test_a_plus_kb_refused_where_k_fold_alone_fits(self):
+        A = PointSet.from_points([(i,) for i in range(1002)])
+        _check_work(self.PAIR, 3999, 0, "kB")
+        with pytest.raises(ValueError, match=r"A \+ 3999B needs about 2\.00e\+7 sums"):
+            a_plus_kb(A, self.PAIR, 3999)
+
+    def test_one_point_with_a_huge_k_is_refused(self):
+        # a single multiset, but a k-term sum
+        with pytest.raises(ValueError, match="over the limit"):
+            k_fold(PointSet.from_points([(1, 1)]), _SUM_WORK_LIMIT + 1)
+
+    def test_large_b_refused_without_counting(self):
+        B = PointSet.from_points([(i,) for i in range(1100)])
+        with pytest.raises(ValueError, match=r"\|B\| = 1100 is over the limit"):
+            k_fold(B, 10**9)
 
 
 class TestSplitTranslateDisjointness:
