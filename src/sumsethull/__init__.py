@@ -41,14 +41,11 @@ from .explorer import (
 )
 from .geometry import (
     BarycentricCoords,
-    Hyperplane,
     PointSet,
     affine_dimension,
     barycentric,
     conv_contains,
     intrinsic_integer_coords,
-    is_proper,
-    side_of,
     vertex_set,
 )
 from .hull import hull_facets, hull_volume, lattice_points, simplex_volume
@@ -77,7 +74,6 @@ __all__ = [
     "DisjointSumReport",
     "Face",
     "GeneratorConfig",
-    "Hyperplane",
     "HypothesisError",
     "InducedPartition",
     "PointSet",
@@ -104,14 +100,12 @@ __all__ = [
     "hull_volume",
     "induce_partition",
     "intrinsic_integer_coords",
-    "is_proper",
     "iter_exhaustive_subsum_instances",
     "k_fold",
     "kfold_bound",
     "lattice_points",
     "multiset_sum_count",
     "run_campaign",
-    "side_of",
     "simplex_exact_count",
     "simplex_volume",
     "subsum_report",

@@ -4,12 +4,11 @@
 sequence of simplices whose union is conv B, such that (a) the union is
 exact, (b) no point of B ever lies in a simplex without being one of
 its vertices, and (c) every simplex after the first shares a facet with
-an earlier one.  The construction removes the lexicographically largest
-point (always extremal) and recurses: if the remainder keeps its
-dimension, the removed point is coned over the completely visible
-boundary facets of the smaller decomposition; if the remainder drops a
-dimension, it is coned over every simplex of the lower-dimensional
-decomposition, built inside its own affine hull.
+an earlier one.  The construction places the points in lexicographic
+order, so each new point is extremal among those placed: when it
+raises the affine rank, every simplex so far is coned to it; otherwise
+it is coned over the boundary facets it completely sees, decided inside
+the affine hull of the points placed.
 
 The ``verify_*`` operations certify those properties for any
 decomposition, not just ones this module built.  ``verify_cover`` is
@@ -30,6 +29,7 @@ from math import factorial
 
 from .geometry import (
     PointSet,
+    affine_basis,
     affine_rank,
     conv_contains,
     intrinsic_integer_coords,
@@ -91,7 +91,11 @@ class Decomposition:
             pts = [self.ground.points[i] for i in s.vertex_indices]
             if affine_rank(pts) != rank:
                 raise ValueError(f"simplex {s.vertex_indices} is degenerate")
-        computed = _facet_sharing_pairs(simps, rank)
+        computed = tuple(sorted(
+            pair
+            for owners in _facet_table([s.vertex_indices for s in simps]).values()
+            for pair in combinations([owner for owner, _ in owners], 2)
+        ))
         if self.adjacency is None:
             object.__setattr__(self, "adjacency", computed)
         else:
@@ -123,15 +127,6 @@ class Decomposition:
         simplices = tuple(Simplex(tuple(s)) for s in data["simplices"])
         adjacency = tuple(tuple(p) for p in data.get("adjacency") or ()) or None
         return cls(ground, simplices, adjacency)
-
-
-def _facet_sharing_pairs(simplices, rank) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for i, j in combinations(range(len(simplices)), 2):
-        shared = set(simplices[i].vertex_indices) & set(simplices[j].vertex_indices)
-        if len(shared) == rank:
-            pairs.append((i, j))
-    return tuple(pairs)
 
 
 def _dot(a, b):
@@ -197,29 +192,6 @@ def _visible_cone_faces(simplices, coords, apex) -> list[tuple[tuple[int, ...], 
     return faces
 
 
-def _decompose_rec(idxs, coords, rank, original_points) -> list[tuple[int, ...]]:
-    if len(idxs) == rank + 1:
-        return [tuple(sorted(idxs))]
-    # The lexicographically largest point is always extremal, so removing
-    # it keeps the rest's hull strictly smaller.
-    b = max(idxs, key=lambda i: original_points[i])
-    rest = [i for i in idxs if i != b]
-    rest_rank = affine_rank([coords[i] for i in rest])
-    if rest_rank == rank:
-        sub = _decompose_rec(idxs=rest, coords=coords, rank=rank, original_points=original_points)
-        cones = [
-            tuple(sorted(face + (b,)))
-            for face, _ in _visible_cone_faces(sub, coords, coords[b])
-        ]
-        return sub + cones
-    # The remainder lost a dimension: rebuild inside its own affine hull
-    # and cone every lower-dimensional simplex with the removed point.
-    sub_coords, sub_rank, _ = intrinsic_integer_coords([coords[i] for i in rest])
-    new_coords = {g: sub_coords[j] for j, g in enumerate(rest)}
-    sub = _decompose_rec(idxs=rest, coords=new_coords, rank=sub_rank, original_points=original_points)
-    return [tuple(sorted(s + (b,))) for s in sub]
-
-
 def decompose(B: PointSet) -> Decomposition:
     """Simplicial decomposition of conv B in regular position.
 
@@ -229,10 +201,25 @@ def decompose(B: PointSet) -> Decomposition:
     """
     if len(B) < 2:
         raise ValueError("decomposition needs at least 2 points")
-    coords_list, rank, _ = intrinsic_integer_coords(B.points)
-    coords = dict(enumerate(coords_list))
-    tuples = _decompose_rec(list(range(len(B))), coords, rank, B.points)
-    return Decomposition(B, tuple(Simplex(t) for t in tuples))
+    order = sorted(range(len(B)), key=lambda i: B.points[i])
+    placed = [B.points[i] for i in order]
+    jumps = affine_basis(placed)
+    simplices: list[tuple[int, ...]] = [()]
+    # Each placed point is the lexicographic maximum so far, so a vertex
+    # of the hull placed.  Between two rank jumps the points placed share
+    # one affine hull, and the coordinates of its largest prefix decide
+    # visibility for all of them.
+    for start, end in zip(jumps, jumps[1:] + [len(order)]):
+        simplices = [tuple(sorted(s + (order[start],))) for s in simplices]
+        if end - start == 1:
+            continue
+        coords = dict(zip(order, intrinsic_integer_coords(placed[:end])[0]))
+        for b in order[start + 1:end]:
+            simplices += [
+                tuple(sorted(face + (b,)))
+                for face, _ in _visible_cone_faces(simplices, coords, coords[b])
+            ]
+    return Decomposition(B, tuple(Simplex(t) for t in simplices))
 
 
 def visible_boundary_faces(D: Decomposition, b) -> list[Face]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .bounds import THEOREM_TAGS, kfold_bound, verify_theorem
-from .geometry import PointSet, affine_rank, vertex_set
+from .geometry import PointSet, affine_basis, affine_rank, vertex_set
 from .hull import lattice_points
 from .subsums import SubsumInstance, subsum_report
 from .sumsets import sumset
@@ -124,11 +124,10 @@ def _force_proper(rng: random.Random, cfg: GeneratorConfig, lattice: list, B: Po
         A = _sample_a(rng, cfg, lattice)
         if len(A) >= d + 1 and affine_rank(A.points) == d:
             return A
-    base = list(_sample_a(rng, cfg, lattice).points)
-    for p in B.points:
-        if affine_rank(base + [p]) > affine_rank(base):
-            base.append(p)
-    return PointSet(d, tuple(sorted(set(base))))
+    sample = list(_sample_a(rng, cfg, lattice).points)
+    merged = sample + list(B.points)
+    added = [merged[i] for i in affine_basis(merged) if i >= len(sample)]
+    return PointSet(d, tuple(sorted(sample + added)))
 
 
 def _draw_simplex_instance(rng: random.Random, cfg: GeneratorConfig):
@@ -203,11 +202,8 @@ def generate_nested_chain(cfg: GeneratorConfig, index: int):
                 B = PointSet(d, tuple(pts))
                 break
         if B is None:
-            base = []
-            for p in chain[j + 1].points:
-                if affine_rank(base + [p]) > affine_rank(base):
-                    base.append(p)
-            B = PointSet(d, tuple(sorted(base)))
+            outer = chain[j + 1].points
+            B = PointSet(d, tuple(sorted(outer[i] for i in affine_basis(outer))))
         chain[j] = B
     A = _sample_a(rng, cfg, lattice_points(chain[0]))
     return A, tuple(chain)

@@ -3,8 +3,15 @@
 All predicates are decided with arbitrary-precision integer and rational
 arithmetic: there is no floating point and no epsilon anywhere.  Input
 points carry integer coordinates; internal coefficients (barycentric
-weights, hyperplane normals) are exact ``fractions.Fraction`` values, so
+weights, intrinsic coordinates) are exact ``fractions.Fraction`` values, so
 every sign test and membership query has a single correct answer.
+
+One Fraction elimination, ``_echelon``, answers every rank question:
+``affine_basis`` reads the points that raise the affine rank off its
+pivot columns and serves ``affine_rank`` and
+``intrinsic_integer_coords``; ``barycentric`` runs it once on its
+augmented system.  The LP of ``conv_contains`` is the one other exact
+solver.
 """
 
 from __future__ import annotations
@@ -104,18 +111,6 @@ class BarycentricCoords:
             raise ValueError("barycentric coefficients must sum to 1")
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """The set {x : <normal, x> = offset}, with exact rational data."""
-
-    normal: tuple
-    offset: Fraction | int
-
-    def __post_init__(self):
-        if all(c == 0 for c in self.normal):
-            raise ValueError("hyperplane normal must be nonzero")
-
-
 def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """In-place forward elimination; returns (rows, pivot column indices)."""
     if not rows:
@@ -145,20 +140,25 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
     return rows, pivots
 
 
-def linear_rank(vectors: Sequence[Sequence]) -> int:
-    """Rank of a family of rational vectors, by exact Gaussian elimination."""
-    rows = [[Fraction(v) for v in vec] for vec in vectors]
+def affine_basis(points: Sequence[Sequence]) -> list[int]:
+    """Indices, in order, of the points that raise the affine rank.
+
+    Point 0 always opens the basis; point i joins it when it lies off
+    the affine hull of the points before it.  The difference vectors
+    p_i - p_0 are the columns of one ``_echelon`` run, whose pivot
+    columns are exactly the greedy choice.
+    """
+    if not points:
+        raise ValueError("empty point set")
+    p0 = points[0]
+    rows = [[Fraction(p[c] - p0[c]) for p in points[1:]] for c in range(len(p0))]
     _, pivots = _echelon(rows)
-    return len(pivots)
+    return [0] + [j + 1 for j in pivots]
 
 
 def affine_rank(points: Sequence[Sequence]) -> int:
     """Dimension of the affine hull of the given coordinate tuples."""
-    if not points:
-        raise ValueError("empty point set")
-    p0 = points[0]
-    diffs = [[Fraction(a) - Fraction(b) for a, b in zip(p, p0)] for p in points[1:]]
-    return linear_rank(diffs)
+    return len(affine_basis(points)) - 1
 
 
 def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
@@ -197,11 +197,6 @@ def affine_dimension(P: PointSet) -> int:
     if len(P) == 0:
         raise ValueError("empty point set")
     return affine_rank(P.points)
-
-
-def is_proper(P: PointSet) -> bool:
-    """True iff P spans its full ambient dimension."""
-    return affine_dimension(P) == P.dim
 
 
 def conv_contains(P: PointSet, q: Sequence) -> bool:
@@ -251,27 +246,20 @@ def barycentric(S: PointSet, q: Sequence) -> BarycentricCoords | None:
         raise ValueError("empty point set")
     q = _check_point(S.dim, q)
     n = len(S)
-    if affine_rank(S.points) != n - 1:
+    # One elimination of [vertices | q] over [1 ... 1 | 1]: the vertex
+    # columns pivot exactly when S is affinely independent, and a pivot
+    # in the q column means q is off the affine hull.
+    rows = [[Fraction(p[c]) for p in S.points] + [Fraction(q[c])] for c in range(S.dim)]
+    rows.append([Fraction(1)] * (n + 1))
+    rows, pivots = _echelon(rows)
+    if pivots[:n] != list(range(n)):
         raise ValueError("degenerate simplex")
-    rows = [[p[c] for p in S.points] for c in range(S.dim)]
-    rows.append([1] * n)
-    sol = solve_unique(rows, list(q) + [1])
-    if sol is None:
+    if n in pivots:
         return None
+    sol = tuple(rows[i][n] for i in range(n))
     if any(c < 0 for c in sol):
         return None
-    return BarycentricCoords(tuple(sol), tuple(range(n)))
-
-
-def side_of(H: Hyperplane, q: Sequence) -> int:
-    """Exact sign of <normal, q> - offset: -1, 0, or +1."""
-    q = _check_point(len(H.normal), q)
-    s = sum((n * c for n, c in zip(H.normal, q)), Fraction(0)) - H.offset
-    if s > 0:
-        return 1
-    if s < 0:
-        return -1
-    return 0
+    return BarycentricCoords(sol, tuple(range(n)))
 
 
 def intrinsic_integer_coords(points: Sequence[Sequence]):
@@ -289,20 +277,7 @@ def intrinsic_integer_coords(points: Sequence[Sequence]):
         raise ValueError("empty point set")
     dim = len(points[0])
     p0 = tuple(Fraction(c) for c in points[0])
-
-    basis: list[list[Fraction]] = []    # independent difference vectors
-    echelon: list[list[Fraction]] = []  # reduced copies, for rank growth
-    for p in points[1:]:
-        v = [Fraction(a) - b for a, b in zip(p, p0)]
-        w = v[:]
-        for row in echelon:
-            lead = next(i for i, x in enumerate(row) if x != 0)
-            if w[lead] != 0:
-                f = w[lead] / row[lead]
-                w = [a - f * b for a, b in zip(w, row)]
-        if any(x != 0 for x in w):
-            basis.append(v)
-            echelon.append(w)
+    basis = [[Fraction(a) - b for a, b in zip(points[i], p0)] for i in affine_basis(points)[1:]]
     rank = len(basis)
 
     if rank == dim:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomposition import Decomposition
-from .geometry import PointSet, barycentric, conv_contains
+from .geometry import PointSet, barycentric
 from .sumsets import a_plus_kb
 
 
@@ -55,8 +55,6 @@ def induce_partition(A: PointSet, D: Decomposition) -> InducedPartition:
     cells: list[list[tuple[int, ...]]] = [[] for _ in D.simplices]
     simplex_points = [D.simplex_points(i) for i in range(len(D.simplices))]
     for a in A.points:
-        if not conv_contains(D.ground, a):
-            raise ValueError(f"point {a} not in conv(ground)")
         for i, S in enumerate(simplex_points):
             if barycentric(S, a) is not None:
                 cells[i].append(a)

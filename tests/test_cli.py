@@ -110,6 +110,12 @@ class TestDecomposeCommand:
         assert code == 0
         assert "simplices=4" in capsys.readouterr().out
 
+    def test_more_points_than_the_recursion_limit(self, tmp_path, capsys):
+        path = write_points(tmp_path / "line.json", 1, [[x] for x in range(1100)])
+        code = main(["decompose", "--b", path, "--out", str(tmp_path / "dec.json")])
+        assert code == 0
+        assert capsys.readouterr().out == "simplices=1099\n"
+
     def test_byte_deterministic_output(self, tmp_path, triangle):
         out1, out2 = tmp_path / "d1.json", tmp_path / "d2.json"
         main(["decompose", "--b", triangle, "--out", str(out1)])

@@ -72,6 +72,14 @@ class TestDecompose:
         b = decompose(FAN_GROUND).to_json_dict()
         assert a == b
 
+    def test_more_points_than_the_recursion_limit(self):
+        # The build places points in a loop, so its depth does not grow
+        # with the ground set; 1100 collinear points give 1099 segments.
+        D = decompose(PointSet.from_points([(x,) for x in range(1100)]))
+        assert len(D.simplices) == 1099
+        assert verify_cover(D).passed
+        assert verify_adjacency_chain(D).passed
+
 
 class TestVisibleBoundaryFaces:
     def test_separating_diagonal_edge(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumsethull.bounds import verify_theorem
+from sumsethull import explorer
 from sumsethull.explorer import (
     CAMPAIGN_TAGS,
     GeneratorConfig,
@@ -15,7 +16,7 @@ from sumsethull.explorer import (
     iter_exhaustive_subsum_instances,
     run_campaign,
 )
-from sumsethull.geometry import PointSet, affine_rank, conv_contains
+from sumsethull.geometry import PointSet, affine_dimension, affine_rank, conv_contains
 from sumsethull.hull import lattice_points
 
 
@@ -127,6 +128,38 @@ class TestGenerateNestedChain:
             assert all(conv_contains(chain[0], a) for a in A.points)
             for B in chain:
                 assert affine_rank(B.points) == cfg.dim
+
+
+def redraws_read_degenerate(monkeypatch):
+    """Draw each outermost B as usual, then make every redraw fail its rank test."""
+    draw = explorer._draw_proper_b
+
+    def draw_then_degenerate(*args):
+        monkeypatch.setattr(explorer, "affine_rank", affine_rank)
+        B = draw(*args)
+        monkeypatch.setattr(explorer, "affine_rank", lambda pts: -1)
+        return B
+
+    monkeypatch.setattr(explorer, "_draw_proper_b", draw_then_degenerate)
+
+
+class TestFallbacks:
+    def test_nested_chain_fallback_is_proper_and_nested(self, monkeypatch):
+        redraws_read_degenerate(monkeypatch)
+        cfg = small_config(dim=2, b_size=(4, 6), coord_range=3, k=3)
+        A, chain = generate_nested_chain(cfg, 0)
+        for inner, outer in zip(chain, chain[1:]):
+            assert affine_dimension(inner) == cfg.dim
+            assert all(conv_contains(outer, p) for p in inner.points)
+        assert all(conv_contains(chain[0], a) for a in A.points)
+
+    def test_force_proper_fallback_is_proper_and_inside(self, monkeypatch):
+        redraws_read_degenerate(monkeypatch)
+        cfg = small_config(dim=3, a_size=(1, 2), b_size=(5, 6), coord_range=2)
+        for i in range(3):
+            A, B = generate_instance(cfg, i, "freiman")
+            assert affine_dimension(A) == cfg.dim
+            assert all(conv_contains(B, a) for a in A.points)
 
 
 class TestRunCampaign:

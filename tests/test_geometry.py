@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumsethull.geometry import (
-    Hyperplane,
     PointSet,
+    affine_basis,
     affine_dimension,
     affine_rank,
     barycentric,
     conv_contains,
     intrinsic_integer_coords,
-    is_proper,
-    side_of,
     vertex_set,
 )
 
@@ -130,7 +128,7 @@ class TestVertexSet:
     @settings(max_examples=40)
     def test_proper_set_has_at_least_dim_plus_one_vertices(self, P):
         assert len(vertex_set(P)) >= P.dim + 1
-        assert is_proper(P)
+        assert affine_dimension(P) == P.dim
 
 
 class TestBarycentric:
@@ -165,21 +163,24 @@ class TestBarycentric:
             assert total == q[c]
 
 
-class TestSideOf:
-    H = Hyperplane((Fraction(1), Fraction(0)), Fraction(1))
+class TestAffineBasis:
+    def test_greedy_choice_in_order(self):
+        pts = [(0, 0), (1, 1), (2, 2), (0, 1), (5, 5)]
+        assert affine_basis(pts) == [0, 1, 3]
 
-    def test_negative(self):
-        assert side_of(self.H, (0, 0)) == -1
+    def test_single_point(self):
+        assert affine_basis([(4, 2)]) == [0]
 
-    def test_zero(self):
-        assert side_of(self.H, (1, 5)) == 0
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty point set"):
+            affine_basis([])
 
-    def test_positive(self):
-        assert side_of(self.H, (2, 0)) == 1
-
-    def test_zero_normal_rejected(self):
-        with pytest.raises(ValueError):
-            Hyperplane((Fraction(0), Fraction(0)), Fraction(1))
+    @given(point_sets(max_size=7, coord=2))
+    @settings(max_examples=50)
+    def test_members_are_the_prefix_rank_jumps(self, P):
+        pts = P.points
+        jumps = [i for i in range(1, len(pts)) if affine_rank(pts[: i + 1]) > affine_rank(pts[:i])]
+        assert affine_basis(pts) == [0] + jumps
 
 
 class TestIntrinsicCoords:
