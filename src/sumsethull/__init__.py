@@ -2,8 +2,8 @@
 
 Everything runs on integers and fractions: convex-hull membership by a
 rational phase-1 simplex method, simplicial decompositions in regular
-position, k-fold sumsets by brute-force enumeration, and closed-form
-cardinality bounds verified against those enumerations.
+position, exact k-fold sumsets through a packed-integer kernel, and
+closed-form cardinality bounds verified against those sumsets.
 """
 
 from .bounds import (

@@ -81,11 +81,17 @@ def load_subsum_instance(path: str) -> SubsumInstance:
     return SubsumInstance(tuple(tuple(s) for s in sets))
 
 
-def write_point_set(path: str, P: PointSet) -> None:
-    payload = {"dim": P.dim, "points": [list(p) for p in P.points]}
+def _write_json(path: str, payload: dict) -> None:
+    # The one-shot json.dumps runs the C encoder; json.dump never does.
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
+
+
+def write_point_set(path: str, P: PointSet) -> None:
+    # tuples encode as JSON arrays, so the points need no copy
+    _write_json(path, {"dim": P.dim, "points": P.points})
 
 
 def cmd_sumset(args) -> int:
@@ -111,9 +117,7 @@ def _property_b_holds(D: Decomposition) -> bool:
 def cmd_decompose(args) -> int:
     B = load_point_set(args.b)
     D = decompose(B)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(D.to_json_dict(), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _write_json(args.out, D.to_json_dict())
     print(f"simplices={len(D.simplices)}")
     if not args.check:
         return 0

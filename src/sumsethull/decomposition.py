@@ -73,6 +73,9 @@ class Decomposition:
     adjacency: tuple[tuple[int, int], ...] = None
 
     def __post_init__(self):
+        if len(self.ground) < 2:
+            # the same rule as decompose: a point has no simplex to certify
+            raise ValueError("decomposition needs at least 2 points")
         if len(self.simplices) == 0:
             raise ValueError("decomposition needs at least one simplex")
         simps = tuple(s if isinstance(s, Simplex) else Simplex(tuple(s)) for s in self.simplices)

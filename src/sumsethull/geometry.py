@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence
 
 from .exactlp import feasible_nonneg
@@ -27,12 +29,24 @@ from .exactlp import feasible_nonneg
 Coords = tuple  # coordinate tuple of int or Fraction entries
 
 
+def _exact_point(p) -> tuple[int, ...]:
+    """The point as a tuple of ints; a float, Fraction or bool coordinate is refused."""
+    p = tuple(p)
+    try:
+        if not any(isinstance(c, bool) for c in p):
+            return tuple(map(index, p))
+    except TypeError:
+        pass
+    raise ValueError(f"point {p} has a coordinate that is not an integer")
+
+
 @dataclass(frozen=True)
 class PointSet:
     """An ordered, duplicate-free set of integer points in Z^dim.
 
     Points are plain tuples of Python ints, so equality and hashing are
-    by exact coordinate values.  The set may be empty (useful for
+    by exact coordinate values; a float, Fraction or bool coordinate is
+    refused, never truncated.  The set may be empty (useful for
     partition cells); operations that need points enforce nonemptiness
     themselves.
     """
@@ -43,17 +57,24 @@ class PointSet:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        pts = tuple(tuple(int(c) for c in p) for p in self.points)
-        for p in pts:
-            if len(p) != self.dim:
-                raise ValueError(
-                    f"point {p} has {len(p)} coordinates, expected {self.dim}"
-                )
-        seen = set()
-        for p in pts:
-            if p in seen:
-                raise ValueError(f"duplicate point {p}")
-            seen.add(p)
+        pts = self.points
+        # A tuple of tuples of exact ints is kept as it is; anything else
+        # goes through the per-point check, which names the bad point.
+        if not (
+            type(pts) is tuple
+            and set(map(type, pts)) <= {tuple}
+            and set(map(type, chain.from_iterable(pts))) <= {int}
+        ):
+            pts = tuple(map(_exact_point, pts))
+        if set(map(len, pts)) - {self.dim}:
+            p = next(p for p in pts if len(p) != self.dim)
+            raise ValueError(f"point {p} has {len(p)} coordinates, expected {self.dim}")
+        if len(set(pts)) != len(pts):
+            seen = set()
+            for p in pts:
+                if p in seen:
+                    raise ValueError(f"duplicate point {p}")
+                seen.add(p)
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -63,7 +84,7 @@ class PointSet:
         The dimension is inferred from the first point unless given
         explicitly (required for an empty set).
         """
-        pts = [tuple(int(c) for c in p) for p in points]
+        pts = [tuple(p) for p in points]
         if dim is None:
             if not pts:
                 raise ValueError("cannot infer dimension of an empty point set")

@@ -13,7 +13,10 @@ is verified with the right side kept as an exact rational.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+
+from .sumsets import _SUM_WORK_LIMIT
 
 
 def endpoints(A) -> tuple[int, ...]:
@@ -78,13 +81,47 @@ class SubsumReport:
         }
 
 
+def _sum_work(sets: tuple[tuple[int, ...], ...]) -> int:
+    """An upper bound on the additions ``subsum_report`` makes.
+
+    ``sumset_1d(X, Y)`` makes |X| * |Y| additions, and |X + Y| is at most
+    min(|X| * |Y|, range(X) + range(Y) + 1).  The bound adds that count
+    over the prefix, suffix and leave-one-out sums of ``subsum_report``,
+    tracking each sum as (size bound, range).
+    """
+    work = 0
+
+    def plus(x, y):
+        nonlocal work
+        work += x[0] * y[0]
+        return min(x[0] * y[0], x[1] + y[1] + 1), x[1] + y[1]
+
+    shapes = [(len(s), s[-1] - s[0]) for s in sets]
+    prefix = [(1, 0)]
+    for x in shapes:
+        prefix.append(plus(prefix[-1], x))
+    suffix = [(1, 0)]
+    for x in reversed(shapes):
+        suffix.append(plus(x, suffix[-1]))
+    suffix.reverse()
+    for i, (size, rng) in enumerate(shapes):
+        plus(plus(prefix[i], suffix[i + 1]), (min(size, 2), rng))
+    return work
+
+
 def subsum_report(instance: SubsumInstance) -> SubsumReport:
     """Compute S, S', all S_i and S_i' by brute force and test the chain.
 
     Leave-one-out sums come from prefix/suffix partial sums, so the
-    whole report costs O(k) pairwise sumsets.
+    whole report costs O(k) pairwise sumsets.  An instance whose
+    estimated work passes ``_SUM_WORK_LIMIT`` is refused before any sum.
     """
     sets = instance.sets
+    work = _sum_work(sets)
+    if work > _SUM_WORK_LIMIT:
+        raise ValueError(
+            f"subsum report needs about {Decimal(work):.2e} sums, over the limit of {_SUM_WORK_LIMIT:,}"
+        )
     k = len(sets)
     # prefix[i] = A_1 + ... + A_i, suffix[i] = A_i + ... + A_k
     prefix = [(0,)]

@@ -1,6 +1,8 @@
 """Command-line interface: file formats, exit codes, determinism."""
 
+import hashlib
 import json
+import random
 import signal
 import tempfile
 from pathlib import Path
@@ -53,6 +55,28 @@ class TestSumsetCommand:
         main(["sumset", "--a", triangle, "--b", triangle, "-k", "2", "--out", str(out)])
         pts = json.loads(out.read_text())["points"]
         assert pts == sorted(pts)
+
+    def test_output_bytes_pinned(self, tmp_path, capsys):
+        # bytes written by the multiset enumerator and json.dump before the
+        # packed kernel and the one-shot writer replaced them
+        a = write_points(tmp_path / "a.json", 2, [[0, 0], [1, -2], [-3, 1]])
+        b = write_points(tmp_path / "b.json", 2, [[0, 0], [3, 1], [-1, 2]])
+        out = tmp_path / "out.json"
+        assert main(["sumset", "--a", a, "--b", b, "-k", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "15\n"
+        assert out.read_bytes() == (
+            b'{"dim":2,"points":[[-5,5],[-4,3],[-3,1],[-2,4],[-1,2],[-1,4],[0,0],[0,2],'
+            b'[1,-2],[2,3],[3,1],[3,3],[4,-1],[6,2],[7,0]]}\n'
+        )
+
+    def test_output_bytes_pinned_with_huge_coordinates(self, tmp_path, capsys):
+        a = write_points(tmp_path / "a.json", 3, [[0, 0, 0], [-10**20, 1, 2]])
+        b = write_points(tmp_path / "b.json", 3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, -1]])
+        out = tmp_path / "out.json"
+        assert main(["sumset", "--a", a, "--b", b, "-k", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "40\n"
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "da237899f339b5d6bb8bf71e838ea292dad155c8d4f3328b88779578e438d24b"
 
 
 class TestPointSetParsing:
@@ -121,6 +145,17 @@ class TestDecomposeCommand:
         main(["decompose", "--b", triangle, "--out", str(out1)])
         main(["decompose", "--b", triangle, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_output_bytes_pinned(self, tmp_path):
+        # bytes written with json.dump before both writers shared one helper
+        path = write_points(tmp_path / "g.json", 2, [[0, 0], [4, 0], [5, 3], [2, 5], [-1, 3], [2, 2], [1, 1]])
+        out = tmp_path / "d.json"
+        assert main(["decompose", "--b", path, "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b'{"adjacency":[[0,1],[0,3],[1,2],[1,4],[2,5],[3,4],[4,5],[5,6]],'
+            b'"ground":[[0,0],[4,0],[5,3],[2,5],[-1,3],[2,2],[1,1]],'
+            b'"simplices":[[0,4,6],[4,5,6],[3,4,5],[0,1,6],[1,5,6],[1,3,5],[1,2,3]]}\n'
+        )
 
 
 class TestVerifyCommand:
@@ -229,21 +264,35 @@ def _raise_timeout(signum, frame):
     raise _Timeout
 
 
+def _main_within_a_second(argv):
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestOutsizedSums:
     def test_k_fold_refused_within_a_second(self, tmp_path, capsys):
         # C(79, 50) ~ 3.3e21 multisets: enumerating them would never end
         b = write_points(tmp_path / "b.json", 1, [[i] for i in range(30)])
-        previous = signal.signal(signal.SIGALRM, _raise_timeout)
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        try:
-            code = main(["sumset", "--a", b, "--b", b, "-k", "50", "--out", str(tmp_path / "o.json")])
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+        code = _main_within_a_second(["sumset", "--a", b, "--b", b, "-k", "50", "--out", str(tmp_path / "o.json")])
         assert code == 2
         err = capsys.readouterr().err
         assert "A + 50B needs about 2.66e+23 sums" in err and "over the limit" in err
         assert not (tmp_path / "o.json").exists()
+
+    def test_subsum_refused_within_a_second(self, tmp_path, capsys):
+        # 15 sets of 5 generic huge integers: |S| = 5^15, days of work
+        rng = random.Random(7)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"sets": [[rng.randrange(10**30) for _ in range(5)] for _ in range(15)]}))
+        code = _main_within_a_second(["verify", "--theorem", "subsum", "--a", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "subsum report needs about 3.51e+11 sums" in err and "over the limit" in err
 
 
 class TestInternalErrors:

@@ -146,6 +146,11 @@ class TestDecompositionType:
         with pytest.raises(ValueError, match="repeated"):
             Simplex((0, 1, 1))
 
+    def test_one_point_ground_rejected(self):
+        # rank 0: verify_cover used to fail with IndexError in cross_normal
+        with pytest.raises(ValueError, match="at least 2 points"):
+            Decomposition(PointSet(2, ((0, 0),)), (Simplex((0,)),))
+
     def test_json_round_trip(self):
         D = decompose(FAN_GROUND)
         assert Decomposition.from_json_dict(D.to_json_dict()) == D

@@ -34,6 +34,25 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet(2, ((0, 0), (1, 1, 1)))
 
+    @pytest.mark.parametrize("coord", [1.5, 2.0, Fraction(3, 2), Fraction(2), True, False])
+    def test_non_integer_coordinate_rejected(self, coord):
+        # int() used to truncate these silently: (1.5, 0.7) became (1, 0)
+        with pytest.raises(ValueError, match=r"point \(.*\) has a coordinate that is not an integer"):
+            PointSet(2, ((0, 0), (coord, 0)))
+        with pytest.raises(ValueError, match="not an integer"):
+            PointSet.from_points([(0, coord)])
+
+    def test_points_are_plain_int_tuples(self):
+        P = PointSet(2, [[0, 1], (2, 3)])
+        assert P.points == ((0, 1), (2, 3))
+        assert all(type(p) is tuple for p in P.points)
+        kept = ((0, 1), (2, 3))
+        assert PointSet(2, kept).points is kept
+
+    def test_first_duplicate_is_named(self):
+        with pytest.raises(ValueError, match=r"duplicate point \(1, 1\)"):
+            PointSet(2, ((1, 1), (0, 0), (1, 1), (0, 0)))
+
     def test_translate(self):
         P = PointSet(2, ((0, 0), (1, 2)))
         assert P.translate((3, -1)).points == ((3, -1), (4, 1))

@@ -1,12 +1,16 @@
 """1-D leave-one-out sums and the endpoint chain inequality."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumsethull import subsums
 from sumsethull.subsums import (
+    _SUM_WORK_LIMIT,
     SubsumInstance,
+    _sum_work,
     endpoints,
     subsum_report,
     sumset_1d,
@@ -114,3 +118,39 @@ class TestSubsumReport:
                     partial = sumset_1d(partial, inst.sets[j])
             s_i_prime = sumset_1d(partial, endpoints(inst.sets[i]))
             assert set(s_i_prime) <= S
+
+
+def generic_sets(k, size=5, seed=7):
+    """k sets of huge random integers: every pairwise sum is distinct."""
+    rng = random.Random(seed)
+    return tuple(tuple(rng.randrange(10**30) for _ in range(size)) for _ in range(k))
+
+
+class TestWorkLimit:
+    def _counted_work(self, monkeypatch, inst):
+        work = []
+
+        def counting(X, Y):
+            work.append(len(X) * len(Y))
+            return sumset_1d(X, Y)
+
+        monkeypatch.setattr(subsums, "sumset_1d", counting)
+        subsum_report(inst)
+        return sum(work)
+
+    def test_seventy_five_generic_numbers_refused_at_once(self):
+        # 15 sets of 5: |S| would be 5^15, the report would run for days
+        inst = SubsumInstance(generic_sets(15))
+        with pytest.raises(ValueError, match=r"subsum report needs about 3\.51e\+11 sums, over the limit"):
+            subsum_report(inst)
+
+    def test_estimate_is_exact_for_generic_sets(self, monkeypatch):
+        inst = SubsumInstance(generic_sets(4))
+        assert self._counted_work(monkeypatch, inst) == _sum_work(inst.sets)
+
+    @given(st.lists(int_sets, min_size=2, max_size=5))
+    @settings(max_examples=50, deadline=None)
+    def test_estimate_bounds_the_work(self, sets):
+        inst = SubsumInstance(tuple(tuple(s) for s in sets))
+        with pytest.MonkeyPatch.context() as mp:
+            assert self._counted_work(mp, inst) <= _sum_work(inst.sets) <= _SUM_WORK_LIMIT

@@ -1,8 +1,9 @@
-"""Brute-force sumset enumeration: A+B, kB, A+kB."""
+"""Exact sumsets A+B, kB and A+kB, and the work limit."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumsethull import sumsets
 from sumsethull.bounds import binom
 from sumsethull.geometry import PointSet
 from sumsethull.sumsets import _SUM_WORK_LIMIT, _check_work, a_plus_kb, k_fold, multiset_sum_count, sumset
@@ -145,6 +146,24 @@ class TestWorkLimit:
         B = PointSet.from_points([(i,) for i in range(1100)])
         with pytest.raises(ValueError, match=r"\|B\| = 1100 is over the limit"):
             k_fold(B, 10**9)
+
+
+class TestKernelWork:
+    @given(contained_pairs(max_b=6, max_a=4), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_additions_within_the_limit_estimate(self, pair, k):
+        """The iterated kernel adds at most (k + |A|) * C(|B|+k-1, k) codes."""
+        A, B = pair
+        add_codes, counted = sumsets._add_codes, []
+
+        def counting(X, Y):
+            counted.append(len(X) * len(Y))
+            return add_codes(X, Y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sumsets, "_add_codes", counting)
+            a_plus_kb(A, B, k)
+        assert sum(counted) <= (k + len(A)) * multiset_sum_count(B, k)
 
 
 class TestSplitTranslateDisjointness:
