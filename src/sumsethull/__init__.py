@@ -20,14 +20,12 @@ from .decomposition import (
     AdjacencyReport,
     CoverReport,
     Decomposition,
-    Face,
     RegularPositionReport,
     Simplex,
     decompose,
     verify_adjacency_chain,
     verify_cover,
     verify_regular_position,
-    visible_boundary_faces,
 )
 from .explorer import (
     CAMPAIGN_TAGS,
@@ -36,7 +34,6 @@ from .explorer import (
     generate_instance,
     generate_nested_chain,
     generate_subsum_instance,
-    iter_exhaustive_subsum_instances,
     run_campaign,
 )
 from .geometry import (
@@ -72,7 +69,6 @@ __all__ = [
     "CoverReport",
     "Decomposition",
     "DisjointSumReport",
-    "Face",
     "GeneratorConfig",
     "HypothesisError",
     "InducedPartition",
@@ -100,7 +96,6 @@ __all__ = [
     "hull_volume",
     "induce_partition",
     "intrinsic_integer_coords",
-    "iter_exhaustive_subsum_instances",
     "k_fold",
     "kfold_bound",
     "lattice_points",
@@ -116,7 +111,6 @@ __all__ = [
     "verify_regular_position",
     "verify_theorem",
     "vertex_set",
-    "visible_boundary_faces",
 ]
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from .geometry import (
     PointSet,
     affine_basis,
     affine_rank,
-    conv_contains,
     intrinsic_integer_coords,
 )
 from .hull import cross_normal, hull_volume, int_det
@@ -48,14 +47,6 @@ class Simplex:
         if len(set(idx)) != len(idx):
             raise ValueError("simplex has repeated vertex indices")
         object.__setattr__(self, "vertex_indices", idx)
-
-
-@dataclass(frozen=True)
-class Face:
-    """A facet of one simplex: its vertex indices and the owning simplex."""
-
-    vertex_indices: tuple[int, ...]
-    owner: int
 
 
 @dataclass(frozen=True)
@@ -223,28 +214,6 @@ def decompose(B: PointSet) -> Decomposition:
                 for face, _ in _visible_cone_faces(simplices, coords, coords[b])
             ]
     return Decomposition(B, tuple(Simplex(t) for t in simplices))
-
-
-def visible_boundary_faces(D: Decomposition, b) -> list[Face]:
-    """Boundary facets of the decomposition completely visible from b.
-
-    b must lie strictly outside conv(ground).  Visibility is decided
-    facet-wise by strict hyperplane separation from the incident
-    simplex; when b is off the hull's affine span entirely, every
-    boundary facet is completely visible.
-    """
-    b = tuple(b)
-    if len(b) != D.ground.dim:
-        raise ValueError("apex has wrong dimension")
-    if conv_contains(D.ground, b):
-        raise ValueError("apex not exterior")
-    coords_list, _, to_intrinsic = intrinsic_integer_coords(D.ground.points)
-    coords = dict(enumerate(coords_list))
-    simplices = [s.vertex_indices for s in D.simplices]
-    apex = to_intrinsic(b)
-    if apex is None:
-        return [Face(face, owner) for face, owner, *_ in _boundary_faces(simplices, coords)]
-    return [Face(face, owner) for face, owner in _visible_cone_faces(simplices, coords, apex)]
 
 
 @dataclass(frozen=True)

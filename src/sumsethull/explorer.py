@@ -3,10 +3,10 @@
 Instances are deterministic functions of (master seed, index): each
 index gets its own counter-keyed random stream, so campaigns can be
 re-run, subdivided, or parallelized without changing any instance.
-Campaigns sweep the cardinality bounds for violations (expected: none)
-and probe the two open questions, for which reports are marked
-exploratory and never asserted, except the nested-chain question in
-dimension 1 where the bound is elementary.
+One loop runs every campaign: it records each instance, counts
+violations of the bounds (expected: none) and keeps the extremal
+witness.  Reports on the two open questions are exploratory and never
+asserted, except the nested-chain question in dimension 1.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from functools import partial
 
 from .bounds import THEOREM_TAGS, kfold_bound, verify_theorem
 from .geometry import PointSet, affine_basis, affine_rank, vertex_set
 from .hull import lattice_points
-from .subsums import SubsumInstance, subsum_report
+from .subsums import SubsumInstance, _leave_one_out, subsum_report
 from .sumsets import sumset
 
 CAMPAIGN_TAGS = THEOREM_TAGS + ("subsum", "question1", "question2")
@@ -260,75 +260,8 @@ class CampaignReport:
         return buf.getvalue()
 
 
-def _theorem_campaign(cfg: GeneratorConfig, tag: str) -> CampaignReport:
-    records = []
-    violations = 0
-    min_slack = None
-    witness = None
-    for i in range(cfg.instances):
-        A, B = generate_instance(cfg, i, tag)
-        if tag in ("freiman", "vertex_sum"):
-            rec = verify_theorem(tag, A, instance=f"{cfg.seed}:{i}")
-        else:
-            k = 1 if tag == "two_sets" else cfg.k
-            rec = verify_theorem(tag, A, B, k=k, instance=f"{cfg.seed}:{i}")
-        slack = rec.actual - rec.bound
-        entry = {"index": i, "slack": slack, **rec.to_dict()}
-        records.append(entry)
-        if not rec.satisfied:
-            violations += 1
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-            witness = entry
-    summary = {
-        "instances": cfg.instances,
-        "violations": violations,
-        "min_slack": min_slack,
-        "extremal_witness": witness,
-        "assertable": True,
-        "exploratory": False,
-    }
-    return CampaignReport(tag, cfg, tuple(records), summary)
-
-
-def _subsum_campaign(cfg: GeneratorConfig) -> CampaignReport:
-    records = []
-    violations = 0
-    min_slack = None
-    witness = None
-    for i in range(cfg.instances):
-        inst = generate_subsum_instance(cfg, i)
-        rep = subsum_report(inst)
-        slack = Fraction(rep.s_prime_size) - rep.bound
-        entry = {
-            "index": i,
-            "instance": inst.to_dict(),
-            "slack": str(slack),
-            "bound": str(rep.bound),
-            "actual": rep.s_prime_size,
-            **rep.to_dict(),
-        }
-        records.append(entry)
-        if not rep.chain_satisfied:
-            violations += 1
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-            witness = entry
-    summary = {
-        "instances": cfg.instances,
-        "violations": violations,
-        "min_slack": str(min_slack),
-        "extremal_witness": witness,
-        "assertable": True,
-        "exploratory": False,
-    }
-    return CampaignReport("subsum", cfg, tuple(records), summary)
-
-
 def generate_vector_family(cfg: GeneratorConfig, index: int) -> tuple[PointSet, ...]:
     """k proper d-dimensional sets from the coordinate box, seeded."""
-    if cfg.k < 2:
-        raise ValueError("k must be >= 2 (bound divides by k-1)")
     rng = _rng_for(cfg, index)
     lo, hi = cfg.a_size
     return tuple(
@@ -337,34 +270,33 @@ def generate_vector_family(cfg: GeneratorConfig, index: int) -> tuple[PointSet, 
     )
 
 
-def _subsum_sizes_1d(inst: SubsumInstance) -> tuple[int, int, list[int]]:
+def _theorem_entry(tag: str, cfg: GeneratorConfig, i: int):
+    A, B = generate_instance(cfg, i, tag)
+    if tag in ("freiman", "vertex_sum"):
+        rec = verify_theorem(tag, A, instance=f"{cfg.seed}:{i}")
+    else:
+        k = 1 if tag == "two_sets" else cfg.k
+        rec = verify_theorem(tag, A, B, k=k, instance=f"{cfg.seed}:{i}")
+    slack = rec.actual - rec.bound
+    return {"index": i, "slack": slack, **rec.to_dict()}, slack, not rec.satisfied
+
+
+def _subsum_entry(cfg: GeneratorConfig, i: int):
+    inst = generate_subsum_instance(cfg, i)
     rep = subsum_report(inst)
-    return rep.s_size, rep.s_prime_size, list(rep.s_i_sizes)
+    slack = Fraction(rep.s_prime_size) - rep.bound
+    entry = {
+        "index": i,
+        "instance": inst.to_dict(),
+        "slack": str(slack),
+        "actual": rep.s_prime_size,
+        **rep.to_dict(),
+    }
+    return entry, slack, not rep.chain_satisfied
 
 
-def _subsum_sizes_vector(family: tuple[PointSet, ...]) -> tuple[int, int, list[int]]:
-    # Leave-one-out sums S_i, their extremal-point completions
-    # S_i + vert(A_i), and the union S'; plain d-dimensional sumsets.
-    k = len(family)
-    s_i_sizes = []
-    union: set = set()
-    whole = family[0]
-    for X in family[1:]:
-        whole = sumset(whole, X).points
-    for i in range(k):
-        partial = None
-        for j in range(k):
-            if j == i:
-                continue
-            partial = family[j] if partial is None else sumset(partial, family[j]).points
-        s_i_sizes.append(len(partial))
-        completed = sumset(partial, vertex_set(family[i])).points
-        union.update(completed.points)
-    return len(whole), len(union), s_i_sizes
-
-
-def _question1_campaign(cfg: GeneratorConfig) -> CampaignReport:
-    """Observed minimum of |S'| / sum |S_i| against the conjectured ratio.
+def _question1_entry(conjectured: Fraction, cfg: GeneratorConfig, i: int):
+    """|S'| / sum |S_i| against the conjectured ratio, never a violation.
 
     In dimension 1 the instances are plain integer-set chains; in
     higher dimensions each A_i is a proper d-dimensional set and the
@@ -373,118 +305,99 @@ def _question1_campaign(cfg: GeneratorConfig) -> CampaignReport:
     size threshold, so nothing is asserted; raw ratios are recorded
     for inspection.
     """
-    if cfg.k < 2:
-        raise ValueError("k must be >= 2 (bound divides by k-1)")
-    records = []
-    min_ratio = None
-    witness = None
-    conjectured = Fraction(cfg.k ** (cfg.dim - 1), (cfg.k - 1) ** cfg.dim)
-    for i in range(cfg.instances):
-        if cfg.dim == 1:
-            inst = generate_subsum_instance(cfg, i)
-            s_size, s_prime_size, s_i_sizes = _subsum_sizes_1d(inst)
-            instance_blob = inst.to_dict()
-        else:
-            family = generate_vector_family(cfg, i)
-            s_size, s_prime_size, s_i_sizes = _subsum_sizes_vector(family)
-            instance_blob = {"sets": [[list(p) for p in X.points] for X in family]}
-        ratio = Fraction(s_prime_size, sum(s_i_sizes))
-        entry = {
-            "index": i,
-            "instance": instance_blob,
-            "ratio": str(ratio),
-            "bound": str(conjectured),
-            "actual": str(ratio),
-            "slack": str(ratio - conjectured),
-            "s_size": s_size,
-            "s_prime_size": s_prime_size,
-            "sum_s_i": sum(s_i_sizes),
-        }
-        records.append(entry)
-        if min_ratio is None or ratio < min_ratio:
-            min_ratio = ratio
-            witness = entry
-    summary = {
-        "instances": cfg.instances,
-        "violations": 0,
-        "observed_min_ratio": str(min_ratio),
-        "conjectured_ratio": str(conjectured),
-        "extremal_witness": witness,
-        "assertable": False,
-        "exploratory": True,
+    if cfg.dim == 1:
+        inst = generate_subsum_instance(cfg, i)
+        rep = subsum_report(inst)
+        instance_blob = inst.to_dict()
+    else:
+        family = generate_vector_family(cfg, i)
+        zero = PointSet(cfg.dim, ((0,) * cfg.dim,))
+        rep = _leave_one_out(family, lambda X, Y: sumset(X, Y).points, vertex_set, zero)
+        instance_blob = {"sets": [[list(p) for p in X.points] for X in family]}
+    sum_s_i = sum(rep.s_i_sizes)
+    ratio = Fraction(rep.s_prime_size, sum_s_i)
+    entry = {
+        "index": i,
+        "instance": instance_blob,
+        "ratio": str(ratio),
+        "bound": str(conjectured),
+        "actual": str(ratio),
+        "slack": str(ratio - conjectured),
+        "s_size": rep.s_size,
+        "s_prime_size": rep.s_prime_size,
+        "sum_s_i": sum_s_i,
     }
-    return CampaignReport("question1", cfg, tuple(records), summary)
+    return entry, ratio, False
 
 
-def _question2_campaign(cfg: GeneratorConfig) -> CampaignReport:
-    """Nested-hull sums A + B_1 + ... + B_k against the k-fold bound.
+def _question2_entry(cfg: GeneratorConfig, i: int):
+    """The nested-hull sum A + B_1 + ... + B_k against the k-fold bound."""
+    A, chain = generate_nested_chain(cfg, i)
+    current = A
+    for B in chain:
+        current = sumset(current, B).points
+    actual = len(current)
+    bound = kfold_bound(len(A), cfg.dim, cfg.k)
+    slack = actual - bound
+    entry = {
+        "index": i,
+        "a": [list(p) for p in A.points],
+        "chain": [[list(p) for p in B.points] for B in chain],
+        "k": cfg.k,
+        "bound": bound,
+        "actual": actual,
+        "slack": slack,
+        "satisfied": actual >= bound,
+    }
+    return entry, slack, actual < bound
 
-    Asserted only in dimension 1, where the estimate is elementary;
-    higher dimensions record outcomes without any claim.
+
+def _campaign(cfg, tag, measure, summary_name, witness_field, assertable=True, **extra) -> CampaignReport:
+    """Run ``measure(cfg, i) -> (entry, key, violated)`` for every index.
+
+    The first entry with the smallest key is the extremal witness; its
+    ``witness_field`` is reported as ``summary_name``.
     """
     records = []
     violations = 0
-    min_slack = None
-    witness = None
+    least = witness = None
     for i in range(cfg.instances):
-        A, chain = generate_nested_chain(cfg, i)
-        current = A
-        for B in chain:
-            current = sumset(current, B).points
-        actual = len(current)
-        bound = kfold_bound(len(A), cfg.dim, cfg.k)
-        slack = actual - bound
-        entry = {
-            "index": i,
-            "a": [list(p) for p in A.points],
-            "chain": [[list(p) for p in B.points] for B in chain],
-            "k": cfg.k,
-            "bound": bound,
-            "actual": actual,
-            "slack": slack,
-            "satisfied": actual >= bound,
-        }
+        entry, key, violated = measure(cfg, i)
         records.append(entry)
-        if actual < bound:
-            violations += 1
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-            witness = entry
+        violations += violated
+        if least is None or key < least:
+            least, witness = key, entry
     summary = {
         "instances": cfg.instances,
         "violations": violations,
-        "min_slack": min_slack,
+        summary_name: witness[witness_field],
         "extremal_witness": witness,
-        "assertable": cfg.dim == 1,
-        "exploratory": True,
+        "assertable": assertable,
+        "exploratory": tag.startswith("question"),
+        **extra,
     }
-    return CampaignReport("question2", cfg, tuple(records), summary)
+    return CampaignReport(tag, cfg, tuple(records), summary)
 
 
 def run_campaign(cfg: GeneratorConfig, tag: str) -> CampaignReport:
-    """Run one campaign; records are merged in index order."""
-    if tag in THEOREM_TAGS:
-        return _theorem_campaign(cfg, tag)
-    if tag == "subsum":
-        return _subsum_campaign(cfg)
-    if tag == "question1":
-        return _question1_campaign(cfg)
-    if tag == "question2":
-        return _question2_campaign(cfg)
-    raise ValueError(f"unknown campaign tag: {tag}")
+    """Run one campaign; records are merged in index order.
 
-
-def iter_exhaustive_subsum_instances(max_value: int, max_size: int, k: int):
-    """Every SubsumInstance with k subsets of {0..max_value}.
-
-    Documented slow mode for tiny 1-D ranges only: the instance count is
-    (sum_s C(max_value+1, s))^k, exponential in every argument.
+    ``question1`` is never asserted (see ``_question1_entry``);
+    ``question2`` is asserted only in dimension 1, where the estimate is
+    elementary, and higher dimensions record outcomes without any claim.
     """
-    values = range(max_value + 1)
-    pool = [
-        combo
-        for size in range(1, max_size + 1)
-        for combo in combinations(values, size)
-    ]
-    for sets in product(pool, repeat=k):
-        yield SubsumInstance(tuple(sets))
+    if tag in THEOREM_TAGS:
+        return _campaign(cfg, tag, partial(_theorem_entry, tag), "min_slack", "slack")
+    if tag == "subsum":
+        return _campaign(cfg, tag, _subsum_entry, "min_slack", "slack")
+    if tag == "question1":
+        if cfg.k < 2:
+            raise ValueError("k must be >= 2 (bound divides by k-1)")
+        conjectured = Fraction(cfg.k ** (cfg.dim - 1), (cfg.k - 1) ** cfg.dim)
+        return _campaign(
+            cfg, tag, partial(_question1_entry, conjectured), "observed_min_ratio", "ratio",
+            assertable=False, conjectured_ratio=str(conjectured),
+        )
+    if tag == "question2":
+        return _campaign(cfg, tag, _question2_entry, "min_slack", "slack", assertable=cfg.dim == 1)
+    raise ValueError(f"unknown campaign tag: {tag}")

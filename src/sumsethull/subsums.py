@@ -1,13 +1,14 @@
-"""Leave-one-out sums of integer sets and the endpoint chain bound.
+"""Leave-one-out sums, in any dimension, and the endpoint chain bound.
 
-For nonempty finite integer sets A_1, ..., A_k (k >= 2) write S for the
+For nonempty finite sets A_1, ..., A_k (k >= 2) write S for the
 complete sum A_1 + ... + A_k and S_i for the sum leaving A_i out.
-Replacing the omitted set's role differently: S_i' adds back only the
-two endpoints of A_i, and S' is the union of the S_i'.  The chain
+S_i' adds back to S_i only the extremal points of A_i (for an integer
+set, its two endpoints), and S' is the union of the S_i'.  The chain
 
     |S| >= |S'| >= (sum_i |S_i| - 1) / (k - 1)
 
-is verified with the right side kept as an exact rational.
+is verified for integer sets with the right side kept as an exact
+rational; the explorer's ``question1`` runs the same sums on point sets.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
+from operator import index
 
 from .sumsets import _SUM_WORK_LIMIT
 
@@ -34,6 +37,16 @@ def sumset_1d(X, Y) -> tuple[int, ...]:
     return tuple(sorted({x + y for x in X for y in Y}))
 
 
+def _exact_int(v) -> int:
+    """The value as an int; a float, Fraction or bool is refused, never truncated."""
+    if not isinstance(v, bool):
+        try:
+            return index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"set element {v!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class SubsumInstance:
     """k nonempty finite integer sets, k >= 2."""
@@ -41,7 +54,7 @@ class SubsumInstance:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        normalized = tuple(tuple(sorted(set(int(v) for v in s))) for s in self.sets)
+        normalized = tuple(tuple(sorted(set(map(_exact_int, s)))) for s in self.sets)
         if len(normalized) < 2:
             raise ValueError("k must be >= 2 (bound divides by k-1)")
         for s in normalized:
@@ -86,7 +99,7 @@ def _sum_work(sets: tuple[tuple[int, ...], ...]) -> int:
 
     ``sumset_1d(X, Y)`` makes |X| * |Y| additions, and |X + Y| is at most
     min(|X| * |Y|, range(X) + range(Y) + 1).  The bound adds that count
-    over the prefix, suffix and leave-one-out sums of ``subsum_report``,
+    over the prefix, suffix and leave-one-out sums of ``_leave_one_out``,
     tracking each sum as (size bound, range).
     """
     work = 0
@@ -109,12 +122,40 @@ def _sum_work(sets: tuple[tuple[int, ...], ...]) -> int:
     return work
 
 
+def _leave_one_out(sets, add, completion, zero) -> SubsumReport:
+    """|S|, every |S_i| and |S_i'|, and |S'|, with the chain tested.
+
+    ``add`` sums two sets, ``completion(A_i)`` is what S_i' adds back to
+    S_i, and ``zero`` is the identity of ``add``.  Leave-one-out sums
+    come from prefix/suffix partial sums, so the whole report costs
+    O(k) calls of ``add``.
+    """
+    k = len(sets)
+    # prefix[i] = A_1 + ... + A_i, suffix[i] = A_i + ... + A_k
+    prefix = list(accumulate(sets, add, initial=zero))
+    suffix = list(accumulate(reversed(sets), lambda acc, A: add(A, acc), initial=zero))[::-1]
+    s_i_sizes = []
+    s_i_prime_sizes = []
+    s_prime = set()
+    for i in range(k):
+        S_i = add(prefix[i], suffix[i + 1])
+        S_i_prime = add(S_i, completion(sets[i]))
+        s_i_sizes.append(len(S_i))
+        s_i_prime_sizes.append(len(S_i_prime))
+        s_prime.update(S_i_prime)
+    S = prefix[k]
+    bound = Fraction(sum(s_i_sizes) - 1, k - 1)
+    chain = len(S) >= len(s_prime) and Fraction(len(s_prime)) >= bound
+    return SubsumReport(
+        len(S), len(s_prime), tuple(s_i_sizes), tuple(s_i_prime_sizes), bound, chain
+    )
+
+
 def subsum_report(instance: SubsumInstance) -> SubsumReport:
     """Compute S, S', all S_i and S_i' by brute force and test the chain.
 
-    Leave-one-out sums come from prefix/suffix partial sums, so the
-    whole report costs O(k) pairwise sumsets.  An instance whose
-    estimated work passes ``_SUM_WORK_LIMIT`` is refused before any sum.
+    An instance whose estimated work passes ``_SUM_WORK_LIMIT`` is
+    refused before any sum.
     """
     sets = instance.sets
     work = _sum_work(sets)
@@ -122,26 +163,4 @@ def subsum_report(instance: SubsumInstance) -> SubsumReport:
         raise ValueError(
             f"subsum report needs about {Decimal(work):.2e} sums, over the limit of {_SUM_WORK_LIMIT:,}"
         )
-    k = len(sets)
-    # prefix[i] = A_1 + ... + A_i, suffix[i] = A_i + ... + A_k
-    prefix = [(0,)]
-    for s in sets:
-        prefix.append(sumset_1d(prefix[-1], s))
-    suffix = [(0,)] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = sumset_1d(sets[i], suffix[i + 1])
-    S = prefix[k]
-    s_i_sizes = []
-    s_i_prime_sizes = []
-    s_prime: set[int] = set()
-    for i in range(k):
-        S_i = sumset_1d(prefix[i], suffix[i + 1])
-        S_i_prime = sumset_1d(S_i, endpoints(sets[i]))
-        s_i_sizes.append(len(S_i))
-        s_i_prime_sizes.append(len(S_i_prime))
-        s_prime.update(S_i_prime)
-    bound = Fraction(sum(s_i_sizes) - 1, k - 1)
-    chain = len(S) >= len(s_prime) and Fraction(len(s_prime)) >= bound
-    return SubsumReport(
-        len(S), len(s_prime), tuple(s_i_sizes), tuple(s_i_prime_sizes), bound, chain
-    )
+    return _leave_one_out(sets, sumset_1d, endpoints, (0,))

@@ -14,7 +14,6 @@ from sumsethull.decomposition import (
     verify_adjacency_chain,
     verify_cover,
     verify_regular_position,
-    visible_boundary_faces,
 )
 from sumsethull.geometry import PointSet, affine_rank, barycentric
 
@@ -67,6 +66,21 @@ class TestDecompose:
         D = decompose(PointSet.from_points([(0, 0), (1, 0), (2, 0), (3, 5)]))
         assert sorted(s.vertex_indices for s in D.simplices) == [(0, 1, 3), (1, 2, 3)]
 
+    def test_apex_beyond_an_edge_cones_over_it(self):
+        D = decompose(PointSet.from_points(list(TRI.points) + [(3, 3)]))
+        assert [s.vertex_indices for s in D.simplices] == [(0, 1, 2), (1, 2, 3)]
+        assert verify_cover(D).passed
+
+    def test_apex_on_edge_hyperplane_is_not_coned_over_that_edge(self):
+        """(3,-1) lies on the line x+y=2, so only the bottom edge is seen.
+
+        Coning over the edge on x+y=2 as well would add a degenerate
+        triangle.
+        """
+        D = decompose(PointSet.from_points(list(TRI.points) + [(3, -1)]))
+        assert [s.vertex_indices for s in D.simplices] == [(0, 1, 2), (0, 1, 3)]
+        assert verify_cover(D).passed
+
     def test_deterministic(self):
         a = decompose(FAN_GROUND).to_json_dict()
         b = decompose(FAN_GROUND).to_json_dict()
@@ -79,45 +93,6 @@ class TestDecompose:
         assert len(D.simplices) == 1099
         assert verify_cover(D).passed
         assert verify_adjacency_chain(D).passed
-
-
-class TestVisibleBoundaryFaces:
-    def test_separating_diagonal_edge(self):
-        D = decompose(TRI)
-        faces = visible_boundary_faces(D, (3, 3))
-        assert [f.vertex_indices for f in faces] == [(1, 2)]
-
-    def test_separating_vertical_edge(self):
-        D = decompose(TRI)
-        faces = visible_boundary_faces(D, (-1, 1))
-        assert [f.vertex_indices for f in faces] == [(0, 2)]
-
-    def test_apex_on_edge_hyperplane_sees_one_edge(self):
-        """(3,-1) lies on the line x+y=2, so only the bottom edge separates."""
-        D = decompose(TRI)
-        faces = visible_boundary_faces(D, (3, -1))
-        assert [f.vertex_indices for f in faces] == [(0, 1)]
-
-    def test_interior_apex_rejected(self):
-        D = decompose(TRI)
-        with pytest.raises(ValueError, match="apex not exterior"):
-            visible_boundary_faces(D, (1, 1))
-
-    def test_boundary_apex_rejected(self):
-        D = decompose(TRI)
-        with pytest.raises(ValueError, match="apex not exterior"):
-            visible_boundary_faces(D, (1, 0))
-
-    def test_off_span_apex_sees_everything(self):
-        seg = decompose(PointSet.from_points([(0, 0), (1, 0), (2, 0)]))
-        faces = visible_boundary_faces(seg, (1, 1))
-        assert {f.vertex_indices for f in faces} == {(0,), (2,)}
-
-    def test_faces_belong_to_their_owner(self):
-        D = decompose(FAN_GROUND)
-        for f in visible_boundary_faces(D, (5, 1)):
-            owner = D.simplices[f.owner].vertex_indices
-            assert set(f.vertex_indices) <= set(owner)
 
 
 class TestDecompositionType:

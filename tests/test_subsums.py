@@ -1,20 +1,27 @@
-"""1-D leave-one-out sums and the endpoint chain inequality."""
+"""Leave-one-out sums and the endpoint chain inequality."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumsethull import subsums
+from sumsethull.geometry import PointSet, vertex_set
 from sumsethull.subsums import (
     _SUM_WORK_LIMIT,
     SubsumInstance,
+    _leave_one_out,
     _sum_work,
     endpoints,
     subsum_report,
     sumset_1d,
 )
+from sumsethull.sumsets import sumset
+
+from conftest import point_sets
+from subsum_oracle import point_set_oracle
 
 int_sets = st.lists(st.integers(-20, 20), min_size=1, max_size=8, unique=True)
 
@@ -56,6 +63,11 @@ class TestSubsumInstance:
     def test_round_trip(self):
         inst = SubsumInstance(((0, 2), (1,)))
         assert SubsumInstance.from_dict(inst.to_dict()) == inst
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(7, 2), Fraction(2), True, False])
+    def test_non_integer_value_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"set element {re.escape(repr(bad))} is not an integer"):
+            SubsumInstance(((1, bad), (3,)))
 
 
 class TestSubsumReport:
@@ -118,6 +130,18 @@ class TestSubsumReport:
                     partial = sumset_1d(partial, inst.sets[j])
             s_i_prime = sumset_1d(partial, endpoints(inst.sets[i]))
             assert set(s_i_prime) <= S
+
+
+class TestLeaveOneOutOnPointSets:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_quadratic_oracle(self, dim, k, data):
+        family = tuple(data.draw(point_sets(dim=dim, max_size=4, coord=3)) for _ in range(k))
+        zero = PointSet(dim, ((0,) * dim,))
+        rep = _leave_one_out(family, lambda X, Y: sumset(X, Y).points, vertex_set, zero)
+        assert (rep.s_size, list(rep.s_i_sizes), rep.s_prime_size) == point_set_oracle(family)
 
 
 def generic_sets(k, size=5, seed=7):
