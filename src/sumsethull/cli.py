@@ -109,7 +109,7 @@ def _property_b_holds(D: Decomposition) -> bool:
     for i in range(len(D.simplices)):
         S = D.simplex_points(i)
         for p in D.ground.points:
-            if barycentric(S, p) is not None and p not in S.points:
+            if p not in S.points and barycentric(S, p) is not None:
                 return False
     return True
 

@@ -4,35 +4,33 @@
 sequence of simplices whose union is conv B, such that (a) the union is
 exact, (b) no point of B ever lies in a simplex without being one of
 its vertices, and (c) every simplex after the first shares a facet with
-an earlier one.  The construction places the points in lexicographic
-order, so each new point is extremal among those placed: when it
-raises the affine rank, every simplex so far is coned to it; otherwise
-it is coned over the boundary facets it completely sees, decided inside
-the affine hull of the points placed.
+an earlier one.  It is a placing (beneath-and-beyond) triangulation in
+lexicographic order, so each new point is extremal among those placed:
+when it raises the affine rank, every simplex so far is coned to it;
+otherwise it is coned over the boundary facets it completely sees, in
+the affine hull of the points placed.  The boundary is kept between
+placements, not rebuilt.
 
-The ``verify_*`` operations certify those properties for any
-decomposition, not just ones this module built.  ``verify_cover`` is
-the one triangulation certificate, exact in every dimension: facet
-gluing (``verify_regular_position``) plus the equation of the simplex
-volumes with the hull volume from the independent facet-enumeration
-oracle; together they prove (a) and that every two simplices meet in a
-common face.  ``verify_adjacency_chain`` checks (c) through the
-shared-facet graph.
+A ``Decomposition`` computes its intrinsic integer frame and its facet
+table once; the ``verify_*`` operations read them and certify those
+properties for any decomposition, not just ones this module built.
+``verify_cover`` is the one triangulation certificate, exact in every
+dimension: facet gluing (``verify_regular_position``) plus the equation
+of the simplex volumes with the hull volume from the independent
+facet-enumeration oracle; together they prove (a) and that every two
+simplices meet in a common face.  ``verify_adjacency_chain`` checks (c)
+through the shared-facet graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 
-from .geometry import (
-    PointSet,
-    affine_basis,
-    affine_rank,
-    intrinsic_integer_coords,
-)
+from .geometry import PointSet, _exact_int, affine_basis, intrinsic_integer_coords
 from .hull import cross_normal, hull_volume, int_det
 
 
@@ -43,7 +41,7 @@ class Simplex:
     vertex_indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.vertex_indices))
+        idx = tuple(sorted(_exact_int(i, "vertex index") for i in self.vertex_indices))
         if len(set(idx)) != len(idx):
             raise ValueError("simplex has repeated vertex indices")
         object.__setattr__(self, "vertex_indices", idx)
@@ -72,7 +70,7 @@ class Decomposition:
         simps = tuple(s if isinstance(s, Simplex) else Simplex(tuple(s)) for s in self.simplices)
         object.__setattr__(self, "simplices", simps)
         n = len(self.ground)
-        rank = affine_rank(self.ground.points)
+        coords, rank = self._frame
         seen = set()
         for s in simps:
             if s.vertex_indices in seen:
@@ -82,21 +80,34 @@ class Decomposition:
                 raise ValueError("simplex vertex index out of range")
             if len(s.vertex_indices) != rank + 1:
                 raise ValueError("simplex does not span the hull dimension")
-            pts = [self.ground.points[i] for i in s.vertex_indices]
-            if affine_rank(pts) != rank:
+            if _edge_det(s.vertex_indices, coords) == 0:
                 raise ValueError(f"simplex {s.vertex_indices} is degenerate")
         computed = tuple(sorted(
             pair
-            for owners in _facet_table([s.vertex_indices for s in simps]).values()
+            for owners in self._facets.values()
             for pair in combinations([owner for owner, _ in owners], 2)
         ))
         if self.adjacency is None:
             object.__setattr__(self, "adjacency", computed)
         else:
-            given = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in self.adjacency))
+            given = tuple(sorted(
+                tuple(sorted((_exact_int(a, "adjacency index"), _exact_int(b, "adjacency index"))))
+                for a, b in self.adjacency
+            ))
             if given != computed:
                 raise ValueError("adjacency inconsistent with shared-vertex counts")
             object.__setattr__(self, "adjacency", given)
+
+    # Both are built once, on first use in __post_init__, and read by the
+    # verifiers; not fields, so equality and serialization are unchanged.
+    @cached_property
+    def _frame(self) -> tuple[list[tuple[int, ...]], int]:
+        """Integer coordinates of the ground points in their affine hull, and its dimension."""
+        return intrinsic_integer_coords(self.ground.points)
+
+    @cached_property
+    def _facets(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+        return _facet_table([s.vertex_indices for s in self.simplices])
 
     @property
     def intrinsic_dim(self) -> int:
@@ -154,36 +165,24 @@ def _hyperplane(face, coords) -> tuple[tuple[int, ...], int]:
     return normal, _dot(normal, coords[face[0]])
 
 
-def _boundary_faces(simplices: list[tuple[int, ...]], coords) -> list[tuple]:
-    """Facets incident to exactly one simplex, with oriented hyperplanes.
+def _toggle_facets(boundary: dict, simplex: tuple[int, ...], coords) -> None:
+    """Put a simplex's facets on the boundary, or take off those already there.
 
-    Yields (face, owner, normal, offset, inner_sign) in deterministic
-    order; inner_sign is the side of the owning simplex's remaining
-    vertex, never zero.
+    A facet of a triangulation has at most two simplices, so what stays
+    are the unshared facets in order of first occurrence, each with its
+    hyperplane and the side of it its simplex lies on.
     """
-    out = []
-    for face, owners in _facet_table(simplices).items():
-        if len(owners) != 1:
-            continue
-        [(owner, apex)] = owners
-        normal, offset = _hyperplane(face, coords)
-        out.append((face, owner, normal, offset, _sign(_dot(normal, coords[apex]) - offset)))
-    return out
+    for j, apex in enumerate(simplex):
+        face = simplex[:j] + simplex[j + 1:]
+        if boundary.pop(face, None) is None:
+            normal, offset = _hyperplane(face, coords)
+            boundary[face] = normal, offset, _sign(_dot(normal, coords[apex]) - offset)
 
 
-def _visible_cone_faces(simplices, coords, apex) -> list[tuple[tuple[int, ...], int]]:
-    """Boundary facets strictly separated from the apex.
-
-    A facet whose hyperplane contains the apex is not visible: points of
-    such a facet see the apex along a segment that stays inside the
-    hull, so no cone is added over them.
-    """
-    faces = []
-    for face, owner, normal, offset, inner in _boundary_faces(simplices, coords):
-        s_apex = _sign(_dot(normal, apex) - offset)
-        if s_apex != 0 and s_apex == -inner:
-            faces.append((face, owner))
-    return faces
+def _edge_det(simplex: tuple[int, ...], coords) -> int:
+    """Determinant of a simplex's edge vectors: rank! times its signed volume."""
+    base, *rest = (coords[i] for i in simplex)
+    return int_det([[b - a for a, b in zip(base, p)] for p in rest])
 
 
 def decompose(B: PointSet) -> Decomposition:
@@ -208,11 +207,20 @@ def decompose(B: PointSet) -> Decomposition:
         if end - start == 1:
             continue
         coords = dict(zip(order, intrinsic_integer_coords(placed[:end])[0]))
+        boundary: dict = {}
+        for s in simplices:
+            _toggle_facets(boundary, s, coords)
         for b in order[start + 1:end]:
-            simplices += [
-                tuple(sorted(face + (b,)))
-                for face, _ in _visible_cone_faces(simplices, coords, coords[b])
+            apex = coords[b]
+            # A facet whose hyperplane holds the apex is not visible: its
+            # points see the apex along segments inside the hull.
+            visible = [
+                face for face, (normal, offset, inner) in boundary.items()
+                if _sign(_dot(normal, apex) - offset) == -inner
             ]
+            for face in visible:
+                simplices.append(tuple(sorted(face + (b,))))
+                _toggle_facets(boundary, simplices[-1], coords)
     return Decomposition(B, tuple(Simplex(t) for t in simplices))
 
 
@@ -250,16 +258,14 @@ def verify_regular_position(D: Decomposition) -> RegularPositionReport:
     with the volume equation of ``verify_cover`` it proves that every
     pair of simplices meets in a common face.
     """
-    coords_list, _, _ = intrinsic_integer_coords(D.ground.points)
-    coords = dict(enumerate(coords_list))
-    simplices = [s.vertex_indices for s in D.simplices]
-    for face, owners in _facet_table(simplices).items():
+    coords, _ = D._frame
+    for face, owners in D._facets.items():
         normal, offset = _hyperplane(face, coords)
         sides = [_sign(_dot(normal, coords[apex]) - offset) for _, apex in owners]
         holders = tuple(owner for owner, _ in owners)
         if len(owners) == 1:
             beyond = next(
-                (i for i, p in enumerate(coords_list) if _sign(_dot(normal, p) - offset) == -sides[0]),
+                (i for i, p in enumerate(coords) if _sign(_dot(normal, p) - offset) == -sides[0]),
                 None,
             )
             if beyond is not None:
@@ -320,13 +326,10 @@ def verify_cover(D: Decomposition) -> CoverReport:
     of the common vertices.  Conversely a triangulation satisfies both
     conditions, so the certificate is exact in every dimension.
     """
-    coords_list, rank, _ = intrinsic_integer_coords(D.ground.points)
-    dets = 0
-    for s in D.simplices:
-        base, *rest = (coords_list[i] for i in s.vertex_indices)
-        dets += abs(int_det([[b - a for a, b in zip(base, p)] for p in rest]))
+    coords, rank = D._frame
+    dets = sum(abs(_edge_det(s.vertex_indices, coords)) for s in D.simplices)
     total = Fraction(dets, factorial(rank))
-    hull_vol = hull_volume(coords_list)
+    hull_vol = hull_volume(coords)
     gluing = verify_regular_position(D)
     return CoverReport(gluing.passed and total == hull_vol, total, hull_vol, gluing)
 

@@ -3,13 +3,15 @@
 All predicates are decided with arbitrary-precision integer and rational
 arithmetic: there is no floating point and no epsilon anywhere.  Input
 points carry integer coordinates; internal coefficients (barycentric
-weights, intrinsic coordinates) are exact ``fractions.Fraction`` values, so
-every sign test and membership query has a single correct answer.
+weights, intrinsic coordinates before scaling) are exact
+``fractions.Fraction`` values, so every sign test and membership query
+has a single correct answer.
 
-One Fraction elimination, ``_echelon``, answers every rank question:
-``affine_basis`` reads the points that raise the affine rank off its
-pivot columns and serves ``affine_rank`` and
-``intrinsic_integer_coords``; ``barycentric`` runs it once on its
+One Fraction elimination, ``_echelon``, answers every rank question.
+Run over the difference vectors of a point sequence it gives, in one
+pass, the points that raise the affine rank (``affine_basis``,
+``affine_rank``) and the coordinates of every point in their basis
+(``intrinsic_integer_coords``); ``barycentric`` runs it once on its
 augmented system.  The LP of ``conv_contains`` is the one other exact
 solver.
 """
@@ -20,13 +22,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd
+from math import lcm
 from operator import index
 from typing import Iterable, Sequence
 
 from .exactlp import feasible_nonneg
 
-Coords = tuple  # coordinate tuple of int or Fraction entries
+def _exact_int(v, what: str) -> int:
+    """The value as an int; a float, Fraction or bool is refused, never truncated."""
+    if not isinstance(v, bool):
+        try:
+            return index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {v!r} is not an integer")
 
 
 def _exact_point(p) -> tuple[int, ...]:
@@ -161,45 +170,32 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
     return rows, pivots
 
 
-def affine_basis(points: Sequence[Sequence]) -> list[int]:
-    """Indices, in order, of the points that raise the affine rank.
+def _difference_echelon(points: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """``_echelon`` with the difference vectors p_i - p_0 as columns.
 
-    Point 0 always opens the basis; point i joins it when it lies off
-    the affine hull of the points before it.  The difference vectors
-    p_i - p_0 are the columns of one ``_echelon`` run, whose pivot
-    columns are exactly the greedy choice.
+    The result is in reduced row echelon form, so its pivot columns are
+    the points that raise the affine rank, taken greedily in order, and
+    column i - 1 holds the coordinates of p_i - p_0 in their basis.
     """
     if not points:
         raise ValueError("empty point set")
     p0 = points[0]
-    rows = [[Fraction(p[c] - p0[c]) for p in points[1:]] for c in range(len(p0))]
-    _, pivots = _echelon(rows)
+    return _echelon([[Fraction(p[c] - p0[c]) for p in points[1:]] for c in range(len(p0))])
+
+
+def affine_basis(points: Sequence[Sequence]) -> list[int]:
+    """Indices, in order, of the points that raise the affine rank.
+
+    Point 0 always opens the basis; point i joins it when it lies off
+    the affine hull of the points before it.
+    """
+    _, pivots = _difference_echelon(points)
     return [0] + [j + 1 for j in pivots]
 
 
 def affine_rank(points: Sequence[Sequence]) -> int:
     """Dimension of the affine hull of the given coordinate tuples."""
     return len(affine_basis(points)) - 1
-
-
-def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
-    """Solve a linear system expected to have full column rank.
-
-    Returns the unique solution, or None when the system is
-    inconsistent.  Raises ValueError if the coefficient matrix does not
-    have full column rank (the solution would not be unique).
-    """
-    ncols = len(rows[0]) if rows else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    aug, pivots = _echelon(aug)
-    if ncols in pivots:
-        return None  # pivot in the rhs column: inconsistent
-    if len(pivots) < ncols:
-        raise ValueError("underdetermined system")
-    sol = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = aug[r][-1]
-    return tuple(sol)
 
 
 def _check_point(dim: int, q: Sequence) -> tuple:
@@ -286,47 +282,18 @@ def barycentric(S: PointSet, q: Sequence) -> BarycentricCoords | None:
 def intrinsic_integer_coords(points: Sequence[Sequence]):
     """Affine map of points onto an integer grid of their affine hull.
 
-    Returns ``(coords, rank, to_intrinsic)``: ``coords[i]`` is the image
-    of ``points[i]`` as an integer tuple in rank-dimensional space, and
-    ``to_intrinsic`` maps any further point to the same grid (Fraction
-    entries are possible there) or returns None off the affine span.
-    The map is injective and affine, so convexity, incidence and ratios
-    of volumes are preserved; when the points already span their space
-    it is the identity.
+    Returns ``(coords, rank)``: ``coords[i]`` is the image of
+    ``points[i]`` as an integer tuple in rank-dimensional space.  The
+    map is injective and affine, so convexity, incidence and ratios of
+    volumes are preserved; when the points already span their space it
+    is the identity.  Otherwise they are the coordinates of p_i - p_0
+    in the basis of ``affine_basis``, read off the same elimination and
+    scaled by their least common denominator.
     """
-    if not points:
-        raise ValueError("empty point set")
-    dim = len(points[0])
-    p0 = tuple(Fraction(c) for c in points[0])
-    basis = [[Fraction(a) - b for a, b in zip(points[i], p0)] for i in affine_basis(points)[1:]]
-    rank = len(basis)
-
-    if rank == dim:
-        coords = [tuple(int(c) for c in p) for p in points]
-
-        def to_intrinsic(q):
-            return tuple(Fraction(c) for c in q)
-
-        return coords, rank, to_intrinsic
-
-    rows = [[basis[j][c] for j in range(rank)] for c in range(dim)]
-
-    def gamma(q):
-        rhs = [Fraction(a) - b for a, b in zip(q, p0)]
-        return solve_unique(rows, rhs)
-
-    gammas = [gamma(p) for p in points]
-    scale = 1
-    for g in gammas:
-        for c in g:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-
-    coords = [tuple(int(c * scale) for c in g) for g in gammas]
-
-    def to_intrinsic(q):
-        g = gamma(q)
-        if g is None:
-            return None
-        return tuple(c * scale for c in g)
-
-    return coords, rank, to_intrinsic
+    rows, pivots = _difference_echelon(points)
+    rank = len(pivots)
+    if rank == len(points[0]):
+        return [tuple(int(c) for c in p) for p in points], rank
+    gammas = [(0,) * rank] + [tuple(row[j] for row in rows[:rank]) for j in range(len(points) - 1)]
+    scale = lcm(*(c.denominator for g in gammas for c in g))
+    return [tuple(int(c * scale) for c in g) for g in gammas], rank

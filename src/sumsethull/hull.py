@@ -130,7 +130,7 @@ def fan_triangulation(coords: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             simplices.append(tuple(sorted(facet.support + (apex,))))
             continue
         sub_points = [coords[i] for i in facet.support]
-        sub_coords, rank, _ = intrinsic_integer_coords(sub_points)
+        sub_coords, rank = intrinsic_integer_coords(sub_points)
         if rank != d - 1:
             raise RuntimeError("facet support does not span a hyperplane")
         for tri in fan_triangulation(sub_coords):

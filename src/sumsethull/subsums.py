@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
-from operator import index
 
+from .geometry import _exact_int
 from .sumsets import _SUM_WORK_LIMIT
 
 
@@ -37,16 +37,6 @@ def sumset_1d(X, Y) -> tuple[int, ...]:
     return tuple(sorted({x + y for x in X for y in Y}))
 
 
-def _exact_int(v) -> int:
-    """The value as an int; a float, Fraction or bool is refused, never truncated."""
-    if not isinstance(v, bool):
-        try:
-            return index(v)
-        except TypeError:
-            pass
-    raise ValueError(f"set element {v!r} is not an integer")
-
-
 @dataclass(frozen=True)
 class SubsumInstance:
     """k nonempty finite integer sets, k >= 2."""
@@ -54,7 +44,7 @@ class SubsumInstance:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        normalized = tuple(tuple(sorted(set(map(_exact_int, s)))) for s in self.sets)
+        normalized = tuple(tuple(sorted({_exact_int(v, "set element") for v in s})) for s in self.sets)
         if len(normalized) < 2:
             raise ValueError("k must be >= 2 (bound divides by k-1)")
         for s in normalized:

@@ -16,12 +16,32 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from sumsethull.geometry import affine_rank, intrinsic_integer_coords, solve_unique
+from sumsethull.geometry import _echelon, affine_rank, intrinsic_integer_coords
 from sumsethull.hull import cross_normal, hull_volume, int_det, simplex_volume
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def solve_unique(rows, rhs) -> tuple[Fraction, ...] | None:
+    """Solve a linear system expected to have full column rank.
+
+    Returns the unique solution, or None when the system is
+    inconsistent.  Raises ValueError if the coefficient matrix does not
+    have full column rank (the solution would not be unique).
+    """
+    ncols = len(rows[0]) if rows else 0
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    aug, pivots = _echelon(aug)
+    if ncols in pivots:
+        return None  # pivot in the rhs column: inconsistent
+    if len(pivots) < ncols:
+        raise ValueError("underdetermined system")
+    sol = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        sol[c] = aug[r][-1]
+    return tuple(sol)
 
 
 def facet_system(simplex, coords):
@@ -76,7 +96,7 @@ def in_hull_of_independent(points, q) -> bool:
 
 
 def _setup(D):
-    coords_list, rank, _ = intrinsic_integer_coords(D.ground.points)
+    coords_list, rank = intrinsic_integer_coords(D.ground.points)
     coords = dict(enumerate(coords_list))
     simplices = [s.vertex_indices for s in D.simplices]
     systems = [facet_system(s, coords) for s in simplices]

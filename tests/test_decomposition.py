@@ -1,15 +1,21 @@
 """Simplicial decomposition: construction and the three verifiers."""
 
+import json
 import random
+import re
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings
 
+from sumsethull import decomposition
 from sumsethull.decomposition import (
     Decomposition,
     RegularPositionReport,
     Simplex,
+    _facet_table,
+    _toggle_facets,
     decompose,
     verify_adjacency_chain,
     verify_cover,
@@ -86,6 +92,27 @@ class TestDecompose:
         b = decompose(FAN_GROUND).to_json_dict()
         assert a == b
 
+    def test_facet_table_built_once_per_rank_segment(self, monkeypatch):
+        # The boundary is kept between placements: at most one facet table
+        # per rank segment (here the points 0 and 1..1099) and one in
+        # Decomposition, and each simplex's facets go on the boundary once.
+        tables, toggled = [], []
+
+        def counting_table(simplices):
+            tables.append(len(simplices))
+            return _facet_table(simplices)
+
+        def counting_toggle(boundary, simplex, coords):
+            toggled.append(simplex)
+            return _toggle_facets(boundary, simplex, coords)
+
+        monkeypatch.setattr(decomposition, "_facet_table", counting_table)
+        monkeypatch.setattr(decomposition, "_toggle_facets", counting_toggle)
+        D = decompose(PointSet.from_points([(x,) for x in range(1100)]))
+        assert len(D.simplices) == 1099
+        assert len(tables) <= 3
+        assert len(toggled) == len(D.simplices)
+
     def test_more_points_than_the_recursion_limit(self):
         # The build places points in a loop, so its depth does not grow
         # with the ground set; 1100 collinear points give 1099 segments.
@@ -125,6 +152,20 @@ class TestDecompositionType:
         # rank 0: verify_cover used to fail with IndexError in cross_normal
         with pytest.raises(ValueError, match="at least 2 points"):
             Decomposition(PointSet(2, ((0, 0),)), (Simplex((0,)),))
+
+    @pytest.mark.parametrize("bad", [1.7, 2.0, Fraction(3, 2), Fraction(1), True, False])
+    def test_non_integer_vertex_index_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"vertex index {bad!r} is not an integer")):
+            Simplex((0, bad, 2))
+
+    def test_non_integer_index_in_json_rejected(self):
+        with pytest.raises(ValueError, match="vertex index 1.9 is not an integer"):
+            Decomposition.from_json_dict({"ground": [[0, 0], [2, 0], [0, 2]], "simplices": [[0, 1.9, 2]]})
+
+    @pytest.mark.parametrize("bad", [0.5, Fraction(1), True])
+    def test_non_integer_adjacency_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"adjacency index {bad!r} is not an integer")):
+            Decomposition(SQUARE, (Simplex((0, 1, 2)), Simplex((1, 2, 3))), ((bad, 1),))
 
     def test_json_round_trip(self):
         D = decompose(FAN_GROUND)
@@ -328,3 +369,58 @@ class TestFourDimensional:
         assert rep.total_simplex_volume == rep.hull_volume
         assert not rep.passed
         assert rep.gluing.face == (0, 1, 2, 3)
+
+
+def _seeded_ground(d, seed):
+    """A seeded ground set in Z^d with at least two simplices in its decomposition.
+
+    Every third seed (d >= 2) lifts its points from a lower-dimensional
+    grid, so the set spans a proper flat of Z^d.
+    """
+    rng = random.Random(1000 * d + seed)
+    while True:
+        flat = rng.randint(1, d - 1) if d > 1 and seed % 3 == 0 else d
+        lift = [[rng.randint(-2, 2) for _ in range(flat)] for _ in range(d)]
+        shift = [rng.randint(-3, 3) for _ in range(d)]
+        pts = []
+        for _ in range(rng.randint(flat + 2, 8)):
+            x = [rng.randint(-3, 3) for _ in range(flat)]
+            pts.append(tuple(s + sum(a * b for a, b in zip(row, x)) for s, row in zip(shift, lift)))
+        pts = list(dict.fromkeys(pts))
+        if len(pts) >= 2:
+            B = PointSet(d, tuple(pts))
+            if len(decompose(B).simplices) >= 2:
+                return B
+
+
+def _corrupted(D):
+    """D plus one simplex of the mirrored ground's decomposition, else D less one simplex."""
+    B = D.ground
+    mirror = decompose(PointSet(B.dim, tuple(tuple(-c for c in p) for p in B.points)))
+    extra = [s for s in mirror.simplices if s not in D.simplices]
+    if extra:
+        return Decomposition(B, D.simplices + (extra[0],))
+    mid = len(D.simplices) // 2
+    return Decomposition(B, D.simplices[:mid] + D.simplices[mid + 1:])
+
+
+# sha256 of the decompositions and cover reports of 12 seeded ground sets
+# per dimension, intact and corrupted
+DECOMPOSITION_DIGESTS = {
+    1: "b59ae558aab795a60afc183b557ebaefac51a84ad3f981b75781417fee6bc174",
+    2: "72608e5bff4cff5a872fcd615cdd5c0dc267d9e1d2c2c31e1df129a656996009",
+    3: "bf06b56505417e7fd7e72c994ee139033e9582804dca0ab11d2d1e944622b49b",
+    4: "fd60e0a8dea697414d9e197a9410965474c3084bf3ffb4c2d1aa58c64cd21f38",
+}
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("d", sorted(DECOMPOSITION_DIGESTS))
+    def test_decompositions_and_cover_reports_pinned(self, d):
+        out = []
+        for seed in range(12):
+            D = decompose(_seeded_ground(d, seed))
+            bad = _corrupted(D)
+            out.append([D.to_json_dict(), verify_cover(D).to_dict(),
+                        bad.to_json_dict(), verify_cover(bad).to_dict()])
+        assert sha256(json.dumps(out).encode()).hexdigest() == DECOMPOSITION_DIGESTS[d]

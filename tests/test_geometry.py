@@ -1,6 +1,7 @@
 """Exact affine geometry: dimension, hull membership, vertices, coordinates."""
 
 from fractions import Fraction
+from math import lcm
 
 import dataclasses
 
@@ -19,6 +20,7 @@ from sumsethull.geometry import (
 )
 
 from conftest import lattice_point, point_sets, proper_point_sets, simplices
+from pairwise_oracle import solve_unique
 
 
 class TestPointSet:
@@ -202,27 +204,42 @@ class TestAffineBasis:
         assert affine_basis(pts) == [0] + jumps
 
 
+@st.composite
+def flat_point_sets(draw, max_size=6, coord=3):
+    """Points of Z^d lifted from a lower-dimensional grid, so they span a proper flat."""
+    d = draw(st.integers(2, 4))
+    r = draw(st.integers(1, d - 1))
+    lift = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * r), min_size=d, max_size=d))
+    grid = draw(st.lists(lattice_point(r, coord), min_size=r + 2, max_size=max_size, unique=True))
+    pts = dict.fromkeys(tuple(sum(a * b for a, b in zip(row, x)) for row in lift) for x in grid)
+    return PointSet(d, tuple(pts))
+
+
 class TestIntrinsicCoords:
     def test_full_rank_is_identity(self):
         pts = [(0, 0), (1, 0), (0, 1)]
-        coords, rank, to_intr = intrinsic_integer_coords(pts)
+        coords, rank = intrinsic_integer_coords(pts)
         assert rank == 2
         assert coords == pts
-        assert to_intr((5, 7)) == (5, 7)
 
     def test_collinear_points_get_1d_coords(self):
         pts = [(0, 0), (1, 1), (3, 3)]
-        coords, rank, to_intr = intrinsic_integer_coords(pts)
+        coords, rank = intrinsic_integer_coords(pts)
         assert rank == 1
         assert [c[0] for c in coords] == [0, 1, 3]
-        assert to_intr((2, 2)) == (Fraction(2),)
-        assert to_intr((2, 3)) is None
 
-    @given(point_sets(max_size=6, coord=3))
-    @settings(max_examples=50)
+    @given(st.one_of(point_sets(max_size=6, coord=3), flat_point_sets()))
+    @settings(max_examples=100)
     def test_rank_and_incidence_preserved(self, P):
-        coords, rank, to_intr = intrinsic_integer_coords(P.points)
+        coords, rank = intrinsic_integer_coords(P.points)
         assert rank == affine_rank(P.points)
         assert affine_rank(coords) == rank
-        for p, c in zip(P.points, coords):
-            assert to_intr(p) == tuple(Fraction(v) for v in c)
+        if rank == P.dim:
+            assert coords == list(P.points)
+            return
+        # each image is p - p0 solved in the affine basis, times one common scale
+        p0, basis = P.points[0], affine_basis(P.points)[1:]
+        rows = [[P.points[j][c] - p0[c] for j in basis] for c in range(P.dim)]
+        gammas = [solve_unique(rows, [a - b for a, b in zip(p, p0)]) for p in P.points]
+        scale = lcm(*(c.denominator for g in gammas for c in g))
+        assert coords == [tuple(c * scale for c in g) for g in gammas]
