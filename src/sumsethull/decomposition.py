@@ -130,7 +130,9 @@ class Decomposition:
     def from_json_dict(cls, data: dict) -> "Decomposition":
         ground = PointSet.from_points(data["ground"])
         simplices = tuple(Simplex(tuple(s)) for s in data["simplices"])
-        adjacency = tuple(tuple(p) for p in data.get("adjacency") or ()) or None
+        # Only a missing key means "compute it"; an explicit list, even an
+        # empty one, is checked like any supplied adjacency.
+        adjacency = tuple(tuple(p) for p in data["adjacency"]) if "adjacency" in data else None
         return cls(ground, simplices, adjacency)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, gcd
+from operator import mul
 
 from .geometry import PointSet, affine_rank, intrinsic_integer_coords
 
@@ -158,9 +159,13 @@ def hull_volume(coords: list[tuple[int, ...]]) -> Fraction:
 def lattice_points(P: PointSet) -> list[tuple[int, ...]]:
     """All integer points of conv(P), in lexicographic order.
 
-    Scans the integer bounding box and keeps points passing every facet
-    inequality; exact integer sign tests, no tolerance.  P must be
-    proper d-dimensional so the facet system describes the hull.
+    A scanline over the integer bounding box: for each integer prefix of
+    the leading d-1 coordinates, the facet inequalities bound the last
+    coordinate by exact floor and ceiling divisions (a facet with last
+    normal component 0 keeps or drops the whole prefix), and the run
+    between the bounds is emitted in order.  Exact integer arithmetic,
+    no tolerance.  P must be proper d-dimensional so the facet system
+    describes the hull.
     """
     if len(P) == 0:
         raise ValueError("empty point set")
@@ -173,9 +178,21 @@ def lattice_points(P: PointSet) -> list[tuple[int, ...]]:
         cells *= hi - lo + 1
     if cells > _BOX_CELL_LIMIT:
         raise ValueError("bounding box too large for exhaustive lattice enumeration")
-    facets = hull_facets(list(P.points))
+    # Each facet as (leading normal, offset, |last normal component| = a),
+    # split by the sign of its last component: for the prefix q and
+    # r = offset - <leading normal, q>, it reads a x <= r, -a x <= r or 0 <= r.
+    uppers, lowers, flats = [], [], []
+    for f in hull_facets(list(P.points)):
+        last = f.normal[-1]
+        (uppers if last > 0 else lowers if last < 0 else flats).append(
+            (f.normal[:-1], f.offset, abs(last))
+        )
     out = []
-    for q in product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        if all(sum(n * c for n, c in zip(f.normal, q)) <= f.offset for f in facets):
-            out.append(q)
+    for q in product(*(range(lo, hi + 1) for lo, hi in zip(los[:-1], his[:-1]))):
+        if any(sum(map(mul, n, q)) > o for n, o, _ in flats):
+            continue
+        # a x <= r gives x <= r // a; -a x <= r gives x >= ceil(-r / a) = -(r // a).
+        top = min((o - sum(map(mul, n, q))) // a for n, o, a in uppers)
+        bottom = max(-((o - sum(map(mul, n, q))) // a) for n, o, a in lowers)
+        out.extend(q + (x,) for x in range(bottom, top + 1))
     return out

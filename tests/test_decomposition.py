@@ -167,6 +167,15 @@ class TestDecompositionType:
         with pytest.raises(ValueError, match=re.escape(f"adjacency index {bad!r} is not an integer")):
             Decomposition(SQUARE, (Simplex((0, 1, 2)), Simplex((1, 2, 3))), ((bad, 1),))
 
+    def test_explicit_empty_adjacency_in_json_is_checked(self):
+        data = {"ground": [[0, 0], [1, 0], [0, 1], [1, 1]], "simplices": [[0, 1, 2], [1, 2, 3]], "adjacency": []}
+        with pytest.raises(ValueError, match="adjacency inconsistent with shared-vertex counts"):
+            Decomposition.from_json_dict(data)
+
+    def test_one_simplex_with_empty_adjacency_in_json_loads(self):
+        D = Decomposition.from_json_dict({"ground": [[0, 0], [2, 0], [0, 2]], "simplices": [[0, 1, 2]], "adjacency": []})
+        assert D.adjacency == ()
+
     def test_json_round_trip(self):
         D = decompose(FAN_GROUND)
         assert Decomposition.from_json_dict(D.to_json_dict()) == D

@@ -1,12 +1,14 @@
 """Brute-force hull machinery: facets, volumes, lattice enumeration."""
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from sumsethull.geometry import PointSet, conv_contains, vertex_set
+from sumsethull import hull
+from sumsethull.geometry import PointSet, affine_rank, conv_contains, vertex_set
 from sumsethull.hull import (
     cross_normal,
     hull_facets,
@@ -129,6 +131,65 @@ class TestVolumes:
         interior = len(grid) - boundary
         assert area == interior + Fraction(boundary, 2) - 1
         assert len(V) <= boundary
+
+
+def box_scan(P):
+    """Independent lattice oracle: every box cell that passes every facet, in box order."""
+    facets = hull_facets(list(P.points))
+    box = [range(min(p[c] for p in P.points), max(p[c] for p in P.points) + 1) for c in range(P.dim)]
+    return [
+        q for q in product(*box)
+        if all(sum(a * b for a, b in zip(f.normal, q)) <= f.offset for f in facets)
+    ]
+
+
+@st.composite
+def thin_point_sets(draw, dim):
+    """Proper sets whose last coordinate takes only the values 0 and 1."""
+    lead = st.tuples(*[st.integers(-4, 4)] * (dim - 1))
+    pts = draw(st.lists(
+        st.builds(lambda q, t: q + (t,), lead, st.integers(0, 1)),
+        min_size=dim + 1, max_size=dim + 4, unique=True,
+    ))
+    assume(affine_rank(pts) == dim)
+    return PointSet(dim, tuple(pts))
+
+
+class TestScanline:
+    """The scanline enumeration against the box scan, list for list."""
+
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (3, 0), (0, 2), (3, 2)],  # vertical edges: last normal component 0
+        [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (0, 0, 3), (2, 0, 3), (0, 2, 3), (2, 2, 3)],
+        [(0, 0), (9, 1), (4, 0)],  # a sliver one unit thick in the last coordinate
+        [(0, 0, 0), (7, 2, 1), (3, 5, 0), (6, 0, 1)],
+        [(-3,), (4,)],
+        [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (2, 2, 2, 1)],
+    ])
+    def test_examples(self, pts):
+        P = PointSet.from_points(pts)
+        assert lattice_points(P) == box_scan(P)
+
+    @given(st.integers(1, 4).flatmap(lambda d: proper_point_sets(dim=d, max_size=d + 3)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_box_scan(self, P):
+        assert lattice_points(P) == box_scan(P)
+
+    @given(st.integers(2, 4).flatmap(thin_point_sets))
+    @settings(max_examples=40, deadline=None)
+    def test_thin_in_last_coordinate(self, P):
+        assert lattice_points(P) == box_scan(P)
+
+    def test_large_box_refused_before_facets(self, monkeypatch):
+        def no_facets(coords):
+            raise AssertionError("facets computed for a refused box")
+
+        monkeypatch.setattr(hull, "hull_facets", no_facets)
+        side = 5000  # 5001^2 cells, over the limit
+        assert (side + 1) ** 2 > hull._BOX_CELL_LIMIT
+        P = PointSet.from_points([(0, 0), (side, 0), (0, side)])
+        with pytest.raises(ValueError, match="^bounding box too large for exhaustive lattice enumeration$"):
+            lattice_points(P)
 
 
 class TestLatticePoints:
