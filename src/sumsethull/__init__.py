@@ -1,9 +1,10 @@
 """Exact-arithmetic sumsets of integer point sets and hull bounds.
 
-Everything runs on integers and fractions: convex-hull membership by a
-rational phase-1 simplex method, simplicial decompositions in regular
-position, exact k-fold sumsets through a packed-integer kernel, and
-closed-form cardinality bounds verified against those sumsets.
+Everything is exact: ranks, coordinates and determinants by one
+fraction-free elimination, hull membership by a fraction-free phase-1
+simplex method, simplicial decompositions in regular position, k-fold
+sumsets through a packed-integer kernel, and closed-form cardinality
+bounds verified against those sumsets.
 """
 
 from .bounds import (

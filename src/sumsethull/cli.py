@@ -8,9 +8,9 @@ all outputs are byte-deterministic given identical inputs and flags.
 
 Exit codes: 0 success or satisfied, 1 violation found, 2 usage or
 input error (including inputs too large to enumerate), 3 internal
-error (a broken invariant such as the LP pivot limit, reported as
-``internal error: <command>: ...``).  Errors name the violated
-hypothesis or flag.
+error (any other exception, such as a broken invariant like the LP
+pivot limit, reported as ``internal error: <command>: ...``).  Errors
+name the violated hypothesis or flag.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def main(argv=None) -> int:
     except (ValueError, HypothesisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except Exception as exc:
         print(f"internal error: {args.command}: {exc}", file=sys.stderr)
         return 3
 

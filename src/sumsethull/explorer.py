@@ -15,12 +15,13 @@ import csv
 import io
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
 from .bounds import THEOREM_TAGS, kfold_bound, verify_theorem
-from .geometry import PointSet, affine_basis, affine_rank, vertex_set
+from .geometry import PointSet, affine_basis, affine_dimension, affine_rank, vertex_set
 from .hull import lattice_points
 from .subsums import SubsumInstance, _leave_one_out, subsum_report
 from .sumsets import sumset
@@ -100,10 +101,14 @@ def _draw_proper_b(rng: random.Random, cfg: GeneratorConfig, size: int) -> Point
         raise ValueError("config ranges infeasible: fewer than d+1 points requested for B")
     if size > total:
         raise ValueError("config ranges infeasible: more points than lattice cells")
+    if total > sys.maxsize:
+        # rng.sample cannot index a range longer than sys.maxsize
+        raise ValueError(f"--dim {d} too large: the box [-{c}, {c}]^{d} has more than {sys.maxsize} points")
     for _ in range(_MAX_REDRAWS):
         pts = sorted(_decode_point(i, d, c) for i in rng.sample(range(total), size))
-        if affine_rank(pts) == d:
-            return PointSet(d, tuple(pts))
+        B = PointSet(d, tuple(pts))
+        if affine_dimension(B) == d:
+            return B
     raise ValueError("config ranges infeasible: could not draw a proper B")
 
 

@@ -1,19 +1,18 @@
-"""Exact rational affine geometry over integer lattice points.
+"""Exact affine geometry over integer lattice points.
 
-All predicates are decided with arbitrary-precision integer and rational
-arithmetic: there is no floating point and no epsilon anywhere.  Input
-points carry integer coordinates; internal coefficients (barycentric
-weights, intrinsic coordinates before scaling) are exact
-``fractions.Fraction`` values, so every sign test and membership query
-has a single correct answer.
+All predicates are decided with arbitrary-precision integer arithmetic:
+there is no floating point and no epsilon anywhere.  Input points carry
+integer coordinates, and every sign test and membership query has a
+single correct answer.
 
-One Fraction elimination, ``_echelon``, answers every rank question.
-Run over the difference vectors of a point sequence it gives, in one
-pass, the points that raise the affine rank (``affine_basis``,
-``affine_rank``) and the coordinates of every point in their basis
-(``intrinsic_integer_coords``); ``barycentric`` runs it once on its
-augmented system.  The LP of ``conv_contains`` is the one other exact
-solver.
+One fraction-free Gauss–Jordan elimination, ``_gauss_jordan`` (Bareiss
+1968), with the LP's row update, answers every rank, coordinate and
+determinant question.  Over the difference vectors of a point sequence
+it gives, in one pass, the points that raise the affine rank
+(``affine_basis``, ``affine_rank``) and the coordinates of every point in
+their basis over one common denominator (``intrinsic_integer_coords``);
+``barycentric`` runs it on its augmented system, and ``hull.int_det``
+reads its denominator.  The LP of ``conv_contains`` is the other solver.
 """
 
 from __future__ import annotations
@@ -22,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm
+from math import gcd
 from operator import index
 from typing import Iterable, Sequence
 
-from .exactlp import feasible_nonneg
+from .exactlp import _eliminate, feasible_nonneg
 
 def _exact_int(v, what: str) -> int:
     """The value as an int; a float, Fraction or bool is refused, never truncated."""
@@ -115,10 +114,10 @@ class PointSet:
     def __contains__(self, p) -> bool:
         return tuple(p) in self._members
 
-    def translate(self, t: Sequence[int]) -> "PointSet":
-        if len(t) != self.dim:
-            raise ValueError("translation vector has wrong dimension")
-        return PointSet(self.dim, tuple(tuple(c + s for c, s in zip(p, t)) for p in self.points))
+    @cached_property
+    def _affine_dim(self) -> int:
+        # Built on the first ``affine_dimension`` call, like ``_members``.
+        return affine_rank(self.points)
 
 
 @dataclass(frozen=True)
@@ -141,46 +140,52 @@ class BarycentricCoords:
             raise ValueError("barycentric coefficients must sum to 1")
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place forward elimination; returns (rows, pivot column indices)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _gauss_jordan(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss–Jordan elimination of an integer matrix (Bareiss).
+
+    Returns ``(rows, pivots, den)``, with ``rows`` den times the reduced
+    row echelon form.  Pivot columns are taken greedily in order, and each
+    update is ``_eliminate``, exact by Sylvester's identity as in the LP.
+    A row moved up by a swap is negated, so ``den`` is the determinant of
+    the pivot rows and columns, and of the whole input when it is square
+    of full rank.  The input is not modified; a non-integer entry is refused.
+    """
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        for v in chain.from_iterable(rows):
+            _exact_int(v, "matrix entry")
+    rows = list(rows)
+    m = len(rows)
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    den = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == m:
             break
-    return rows, pivots
+        for p in range(r, m):
+            if rows[p][c]:
+                break
+        else:
+            continue
+        if p != r:
+            rows[r], rows[p] = [-v for v in rows[p]], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        rows = [row if i == r else _eliminate(row, prow, pv, den, c) for i, row in enumerate(rows)]
+        den = pv
+        pivots.append(c)
+    return rows, pivots, den
 
 
-def _difference_echelon(points: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """``_echelon`` with the difference vectors p_i - p_0 as columns.
+def _difference_elimination(points: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
+    """``_gauss_jordan`` with the difference vectors p_i - p_0 as columns.
 
-    The result is in reduced row echelon form, so its pivot columns are
-    the points that raise the affine rank, taken greedily in order, and
-    column i - 1 holds the coordinates of p_i - p_0 in their basis.
+    The pivots are the points that raise the affine rank, and column i - 1
+    holds den times the coordinates of p_i - p_0 in their basis.
     """
     if not points:
         raise ValueError("empty point set")
     p0 = points[0]
-    return _echelon([[Fraction(p[c] - p0[c]) for p in points[1:]] for c in range(len(p0))])
+    return _gauss_jordan([[p[c] - p0[c] for p in points[1:]] for c in range(len(p0))])
 
 
 def affine_basis(points: Sequence[Sequence]) -> list[int]:
@@ -189,7 +194,7 @@ def affine_basis(points: Sequence[Sequence]) -> list[int]:
     Point 0 always opens the basis; point i joins it when it lies off
     the affine hull of the points before it.
     """
-    _, pivots = _difference_echelon(points)
+    _, pivots, _ = _difference_elimination(points)
     return [0] + [j + 1 for j in pivots]
 
 
@@ -209,11 +214,12 @@ def affine_dimension(P: PointSet) -> int:
     """Dimension of the affine hull of P.
 
     P is proper d-dimensional (not contained in any affine hyperplane of
-    its ambient space) exactly when this equals ``P.dim``.
+    its ambient space) exactly when this equals ``P.dim``.  Computed once
+    per set and kept on it.
     """
     if len(P) == 0:
         raise ValueError("empty point set")
-    return affine_rank(P.points)
+    return P._affine_dim
 
 
 def conv_contains(P: PointSet, q: Sequence) -> bool:
@@ -266,17 +272,18 @@ def barycentric(S: PointSet, q: Sequence) -> BarycentricCoords | None:
     # One elimination of [vertices | q] over [1 ... 1 | 1]: the vertex
     # columns pivot exactly when S is affinely independent, and a pivot
     # in the q column means q is off the affine hull.
-    rows = [[Fraction(p[c]) for p in S.points] + [Fraction(q[c])] for c in range(S.dim)]
-    rows.append([Fraction(1)] * (n + 1))
-    rows, pivots = _echelon(rows)
+    rows = [[p[c] for p in S.points] + [q[c]] for c in range(S.dim)]
+    rows.append([1] * (n + 1))
+    rows, pivots, den = _gauss_jordan(rows)
     if pivots[:n] != list(range(n)):
         raise ValueError("degenerate simplex")
     if n in pivots:
         return None
-    sol = tuple(rows[i][n] for i in range(n))
-    if any(c < 0 for c in sol):
+    # Weight i is nums[i] / den; its sign is decided on the integers.
+    nums = [row[n] for row in rows[:n]]
+    if any(v * den < 0 for v in nums):
         return None
-    return BarycentricCoords(sol, tuple(range(n)))
+    return BarycentricCoords(tuple(Fraction(v, den) for v in nums), tuple(range(n)))
 
 
 def intrinsic_integer_coords(points: Sequence[Sequence]):
@@ -288,12 +295,16 @@ def intrinsic_integer_coords(points: Sequence[Sequence]):
     volumes are preserved; when the points already span their space it
     is the identity.  Otherwise they are the coordinates of p_i - p_0
     in the basis of ``affine_basis``, read off the same elimination and
-    scaled by their least common denominator.
+    scaled by the least common denominator of their reduced fractions.
     """
-    rows, pivots = _difference_echelon(points)
+    rows, pivots, den = _difference_elimination(points)
     rank = len(pivots)
     if rank == len(points[0]):
         return [tuple(int(c) for c in p) for p in points], rank
-    gammas = [(0,) * rank] + [tuple(row[j] for row in rows[:rank]) for j in range(len(points) - 1)]
-    scale = lcm(*(c.denominator for g in gammas for c in g))
-    return [tuple(int(c * scale) for c in g) for g in gammas], rank
+    nums = [(0,) * rank] + [tuple(row[j] for row in rows[:rank]) for j in range(len(points) - 1)]
+    # Each coordinate is num / den, and the lcm of the reduced denominators
+    # is |den| / g with g = gcd(den, every num): scaled, num / g signed like den.
+    g = gcd(den, *chain.from_iterable(nums))
+    if den < 0:
+        g = -g
+    return [tuple(v // g for v in t) for t in nums], rank

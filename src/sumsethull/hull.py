@@ -16,32 +16,15 @@ from itertools import combinations, product
 from math import factorial, gcd
 from operator import mul
 
-from .geometry import PointSet, affine_rank, intrinsic_integer_coords
+from .geometry import PointSet, _gauss_jordan, affine_dimension, affine_rank, intrinsic_integer_coords
 
 _BOX_CELL_LIMIT = 20_000_000
 
 
 def int_det(mat: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant of a square integer matrix: its elimination's den, or 0 if singular."""
+    _, pivots, den = _gauss_jordan(mat)
+    return den if len(pivots) == len(mat) else 0
 
 
 def cross_normal(points: list[tuple[int, ...]]) -> tuple[int, ...] | None:
@@ -167,9 +150,7 @@ def lattice_points(P: PointSet) -> list[tuple[int, ...]]:
     no tolerance.  P must be proper d-dimensional so the facet system
     describes the hull.
     """
-    if len(P) == 0:
-        raise ValueError("empty point set")
-    if affine_rank(P.points) != P.dim:
+    if affine_dimension(P) != P.dim:
         raise ValueError("point set must be proper d-dimensional")
     los = [min(p[c] for p in P.points) for c in range(P.dim)]
     his = [max(p[c] for p in P.points) for c in range(P.dim)]

@@ -16,8 +16,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from sumsethull.geometry import _echelon, affine_rank, intrinsic_integer_coords
+from sumsethull.geometry import intrinsic_integer_coords
 from sumsethull.hull import cross_normal, hull_volume, int_det, simplex_volume
+
+from echelon_oracle import affine_rank, echelon
 
 
 def _dot(a, b):
@@ -33,7 +35,7 @@ def solve_unique(rows, rhs) -> tuple[Fraction, ...] | None:
     """
     ncols = len(rows[0]) if rows else 0
     aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    aug, pivots = _echelon(aug)
+    aug, pivots = echelon(aug)
     if ncols in pivots:
         return None  # pivot in the rhs column: inconsistent
     if len(pivots) < ncols:

@@ -159,3 +159,38 @@ class TestVerifyTheorem:
         data = rec.to_dict()
         assert data["witness"]["a"] == [list(p) for p in TRI.points]
         assert data["instance"] == "t"
+
+
+def long_simplex(m: int, d: int) -> PointSet:
+    """L(m, d) = {0, e1, 2e1, ..., (m-d)e1, e2, ..., ed}: m points, d+1 of them vertices."""
+    def e(i, t=1):
+        return tuple(t if c == i else 0 for c in range(d))
+
+    return PointSet(d, tuple(e(0, t) for t in range(m - d + 1)) + tuple(e(i) for i in range(1, d)))
+
+
+def long_simplex_vertices(m: int, d: int) -> PointSet:
+    return PointSet(d, tuple(p for p in long_simplex(m, d).points if p[0] in (0, m - d)))
+
+
+LONG_SIMPLICES = [(m, d) for d in range(1, 5) for m in range(d + 1, d + 6)]
+
+
+class TestSharpness:
+    """Every bound is attained on the long simplex, so a bound off by one fails here."""
+
+    def test_vertices_of_the_long_simplex(self):
+        assert long_simplex_vertices(6, 3).points == ((0, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert len(long_simplex(6, 3)) == 6
+
+    @pytest.mark.parametrize("m, d", LONG_SIMPLICES)
+    def test_slack_is_zero(self, m, d):
+        L, V = long_simplex(m, d), long_simplex_vertices(m, d)
+        records = [
+            verify_theorem("freiman", L),
+            verify_theorem("vertex_sum", L),
+            verify_theorem("two_sets", L, L),
+            verify_theorem("two_sets", L, V),
+            *(verify_theorem("k_fold", L, V, k=k) for k in (1, 2, 3)),
+        ]
+        assert [rec.actual - rec.bound for rec in records] == [0] * len(records)

@@ -250,14 +250,21 @@ class TestExploreCommand:
         assert lines[0] == "seed,index,tag,bound,actual,slack"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("tag", [["--theorem", "freiman"], ["--question", "1"], ["--question", "2"]])
+    def test_dim_too_large_to_sample_is_a_usage_error(self, tag, capsys):
+        # 11^20 box cells: more than random.sample can index
+        code = main(["explore", *tag, "--dim", "20", "--instances", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --dim 20 too large")
+
     def test_question_and_theorem_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["explore", "--question", "1", "--theorem", "k_fold"])
         assert exc.value.code == 2
 
 
-class _Timeout(Exception):
-    """Not an OSError, so main() cannot mistake it for an input error."""
+class _Timeout(BaseException):
+    """Not an Exception, so main() cannot report it as an input or internal error."""
 
 
 def _raise_timeout(signum, frame):
@@ -304,6 +311,16 @@ class TestInternalErrors:
         code = main(["decompose", "--b", triangle, "--out", str(tmp_path / "d.json")])
         assert code == 3
         assert capsys.readouterr().err.strip() == "internal error: decompose: LP pivot limit exceeded"
+
+    def test_any_uncaught_exception_is_exit_3_not_a_violation(self, monkeypatch, capsys):
+        def broken(cfg, tag):
+            raise OverflowError("Python int too large to convert to C ssize_t")
+
+        monkeypatch.setattr(cli, "run_campaign", broken)
+        code = main(["explore", "--theorem", "freiman", "--instances", "1"])
+        assert code == 3
+        err = capsys.readouterr().err.strip()
+        assert err == "internal error: explore: Python int too large to convert to C ssize_t"
 
 
 class TestCheckLines:

@@ -8,6 +8,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumsethull import geometry
 from sumsethull.geometry import (
     PointSet,
     affine_basis,
@@ -18,7 +19,9 @@ from sumsethull.geometry import (
     intrinsic_integer_coords,
     vertex_set,
 )
+from sumsethull.hull import int_det
 
+import echelon_oracle
 from conftest import lattice_point, point_sets, proper_point_sets, simplices
 from pairwise_oracle import solve_unique
 
@@ -55,10 +58,6 @@ class TestPointSet:
         with pytest.raises(ValueError, match=r"duplicate point \(1, 1\)"):
             PointSet(2, ((1, 1), (0, 0), (1, 1), (0, 0)))
 
-    def test_translate(self):
-        P = PointSet(2, ((0, 0), (1, 2)))
-        assert P.translate((3, -1)).points == ((3, -1), (4, 1))
-
     def test_membership_cache_leaves_identity_unchanged(self):
         P, Q = PointSet(2, ((0, 0), (1, 2))), PointSet(2, ((0, 0), (1, 2)))
         before = (hash(P), repr(P), dataclasses.asdict(P))
@@ -82,9 +81,18 @@ class TestAffineDimension:
         with pytest.raises(ValueError, match="empty point set"):
             affine_dimension(PointSet(2, ()))
 
+    def test_computed_once_per_set(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(geometry, "affine_rank", lambda pts: calls.append(pts) or 2)
+        P = PointSet.from_points([(0, 0), (1, 0), (0, 1)])
+        before = (hash(P), repr(P), dataclasses.asdict(P))
+        assert affine_dimension(P) == affine_dimension(P) == 2
+        assert calls == [P.points]
+        assert (hash(P), repr(P), dataclasses.asdict(P)) == before
+
     @given(point_sets(), lattice_point(3, 5), st.permutations(range(6)))
     def test_translation_and_permutation_invariance(self, P, t, perm):
-        shifted = P.translate(t[: P.dim])
+        shifted = PointSet(P.dim, tuple(tuple(c + s for c, s in zip(p, t)) for p in P.points))
         assert affine_dimension(shifted) == affine_dimension(P)
         order = [i for i in perm if i < len(P)]
         shuffled = PointSet(P.dim, tuple(P.points[i] for i in order) or P.points)
@@ -243,3 +251,68 @@ class TestIntrinsicCoords:
         gammas = [solve_unique(rows, [a - b for a, b in zip(p, p0)]) for p in P.points]
         scale = lcm(*(c.denominator for g in gammas for c in g))
         assert coords == [tuple(c * scale for c in g) for g in gammas]
+
+
+BIG = 10**40
+# small values, and values near +-10^40
+oracle_coords = st.one_of(
+    st.integers(-3, 3), st.integers(-3, 3).map(lambda v: BIG + v), st.integers(-3, 3).map(lambda v: v - BIG)
+)
+
+
+@st.composite
+def flat_point_lists(draw, min_size=1, max_size=8):
+    """min_size to max_size points of Z^d, d <= 4, on a flat of dimension r <= d; repeats allowed.
+
+    r = 0 repeats one point, r = 1 is collinear, r < d is lower-dimensional.
+    """
+    d = draw(st.integers(1, 4))
+    r = draw(st.integers(0, d))
+    origin = draw(st.tuples(*[oracle_coords] * d))
+    dirs = draw(st.lists(st.tuples(*[oracle_coords] * d), min_size=r, max_size=r))
+    weights = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * r), min_size=min_size, max_size=max_size))
+    return [tuple(o + sum(w * v[c] for w, v in zip(ws, dirs)) for c, o in enumerate(origin)) for ws in weights]
+
+
+class TestMatchesFractionOracle:
+    """The fraction-free elimination against Gauss–Jordan over Fraction."""
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1), 0.5, 1.0])
+    def test_non_integer_entries_refused(self, bad):
+        # floor division would silently truncate them
+        with pytest.raises(ValueError, match="is not an integer"):
+            affine_basis([(0, 0), (bad, 1)])
+        with pytest.raises(ValueError, match="is not an integer"):
+            int_det([[1, 0], [0, bad]])
+        with pytest.raises(ValueError, match="is not an integer"):
+            barycentric(PointSet.from_points([(0, 0), (1, 0), (0, 1)]), (bad, 0))
+
+    @given(flat_point_lists())
+    @settings(max_examples=200)
+    def test_affine_basis_and_intrinsic_coords(self, pts):
+        assert affine_basis(pts) == echelon_oracle.affine_basis(pts)
+        assert intrinsic_integer_coords(pts) == echelon_oracle.intrinsic_integer_coords(pts)
+
+    @given(st.one_of(
+        flat_point_lists(min_size=4, max_size=4).map(lambda pts: [list(p) for p in pts[: len(pts[0])]]),
+        # frequent zeros force row swaps
+        st.integers(1, 4).flatmap(lambda n: st.lists(
+            st.lists(st.one_of(st.just(0), oracle_coords), min_size=n, max_size=n), min_size=n, max_size=n
+        )),
+    ))
+    @settings(max_examples=200)
+    def test_int_det(self, mat):
+        assert int_det(mat) == echelon_oracle.det(mat)
+
+    @given(flat_point_lists(max_size=5), st.data())
+    @settings(max_examples=200)
+    def test_barycentric(self, pts, data):
+        S = PointSet(len(pts[0]), tuple(dict.fromkeys(pts)))
+        q = data.draw(st.one_of(st.sampled_from(pts), st.tuples(*[oracle_coords] * S.dim)))
+        if echelon_oracle.affine_rank(S.points) < len(S) - 1:
+            with pytest.raises(ValueError, match="degenerate simplex"):
+                barycentric(S, q)
+            return
+        coords = barycentric(S, q)
+        expected = echelon_oracle.barycentric(S.points, q)
+        assert (None if coords is None else coords.coeffs) == expected

@@ -19,27 +19,7 @@ from sumsethull.hull import (
 )
 
 from conftest import point_sets, proper_point_sets
-
-
-def fraction_det(mat):
-    """Independent determinant oracle: Gaussian elimination over Fractions."""
-    n = len(mat)
-    m = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    assert det.denominator == 1
-    return det.numerator
+from echelon_oracle import det as fraction_det
 
 
 class TestIntDet:

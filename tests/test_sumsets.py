@@ -48,7 +48,9 @@ class TestSumset:
         t = data.draw(lattice_point(X.dim, 10))
         s = data.draw(lattice_point(X.dim, 10))
         base = sumset(X, Y).cardinality
-        assert sumset(X.translate(t), Y.translate(s)).cardinality == base
+        X_t = PointSet(X.dim, tuple(tuple(c + v for c, v in zip(p, t)) for p in X.points))
+        Y_s = PointSet(Y.dim, tuple(tuple(c + v for c, v in zip(p, s)) for p in Y.points))
+        assert sumset(X_t, Y_s).cardinality == base
 
     @given(point_sets(max_size=6), st.data())
     @settings(max_examples=50)
